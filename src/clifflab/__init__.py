@@ -24,8 +24,6 @@ from .curvature import (
     isotropy_projection_op,
     lambda2_spectrum,
     quaternionic_op,
-    ricci,
-    scalar,
     verify_cc_normalization,
     verify_parallel_identities,
 )

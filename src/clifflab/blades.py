@@ -161,14 +161,6 @@ class CliffordElement:
     def is_odd(self) -> bool:
         return all(m.bit_count() % 2 == 1 for m in self._terms)
 
-    def grades(self) -> set[int]:
-        return {m.bit_count() for m in self._terms}
-
-    def grade_part(self, k: int) -> "CliffordElement":
-        return CliffordElement(
-            self.signature, {m: c for m, c in self._terms.items() if m.bit_count() == k}
-        )
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check_same(self, other: "CliffordElement") -> None:
@@ -275,7 +267,8 @@ def hodge_dual_vector(i: int, sig: AlgebraSignature) -> SignedBlade:
     sig.check_index(i)
     complement = tuple(j for j in range(1, sig.rank + 1) if j != i)
     sign, full = blade_product((i,), complement, sig)
-    assert full == tuple(range(1, sig.rank + 1))
+    if full != tuple(range(1, sig.rank + 1)):
+        raise BladeError(f"e_{i} times its complement is not the volume blade")
     # e_i . (sign * complement) = sign^2 * volume = volume
     return SignedBlade(complement, sign)
 
@@ -296,10 +289,3 @@ def lambda2_embed(i: int, j: int, sig: AlgebraSignature) -> CliffordElement:
         return prod + CliffordElement.scalar(sig, 1)
     return prod
 
-
-def lambda2_embed_form(coeffs: Mapping[tuple[int, int], Scalar], sig: AlgebraSignature) -> CliffordElement:
-    """Bilinear extension of lambda2_embed to a 2-form sum a_ij e_i ^ e_j."""
-    out = CliffordElement.zero(sig)
-    for (i, j), c in coeffs.items():
-        out = out + lambda2_embed(i, j, sig).scale(c)
-    return out

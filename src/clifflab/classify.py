@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from . import linalg
-from .curvature import build_model, centralizer_dim
+from .curvature import build_model, cc_scal, centralizer_dim
 from .reps import build_even_rep, j_family, n0, n_irr
 
 
@@ -36,8 +35,9 @@ BOUNDS = ScanBounds()
 
 
 def scal_formula(n, r):
-    """Scalar curvature forced by curvature constancy: 2n(n/4 + 2r - 4)."""
-    value = 2 * n * (Fraction(n, 4) + 2 * r - 4)
+    """Scalar curvature forced by curvature constancy: 2n(n/4 + 2r - 4),
+    as an int when it is integral."""
+    value = cc_scal(n, r)
     if value.denominator != 1:
         return value
     return int(value)
@@ -362,7 +362,8 @@ def equivariance_obstruction(p: int, q: int) -> EquivarianceReport:
     system, n_unknowns = _equivariance_system(p)
     # exact lower bound: the identity family solves the q = 1 system
     x = np.stack(basis).reshape(-1)
-    assert not linalg.imatmul(system, x[:, None]).any(), "identity family is not a solution"
+    if linalg.imatmul(system, x[:, None]).any():
+        raise AssertionError("identity family is not a solution")
     nullity_mod_p = n_unknowns - linalg.rank_mod_p(system)
     certified = nullity_mod_p == 1
     a12 = basis[0]
@@ -452,7 +453,9 @@ def table2_rows() -> list[dict]:
         8: ("projective if M non-spin", "Riemannian"),
     }
     for r, (flag, space) in n8.items():
-        assert case1_n8(r)["centralizer_dim"] == _CASE1_CENTRALIZER[r]
+        case = case1_n8(r)
+        if case["centralizer_dim"] != case["centralizer_expected"]:
+            raise AssertionError(f"rank {r}: centralizer dimension {case['centralizer_dim']}")
         rows.append(
             {"rank": r, "type_of_e": flag, "space": space, "dim": "8", "noncompact_dual": ""}
         )
@@ -461,7 +464,8 @@ def table2_rows() -> list[dict]:
             {"p": 8, "q": 2} if case_id == 4 else {"p": 2, "q": 2}
         )
         verdict = check_conditions(case_id, params)
-        assert verdict.admissible, (case_id, verdict)
+        if not verdict.admissible:
+            raise AssertionError(f"case {case_id} scan rejects {params}: {verdict.reason}")
         rows.append(
             {
                 "rank": r,
@@ -479,7 +483,8 @@ def table2_rows() -> list[dict]:
     }
     for group, data in EXCEPTIONAL.items():
         verdict = check_conditions(8, {"group": group})
-        assert verdict.admissible
+        if not verdict.admissible:
+            raise AssertionError(f"case 8 scan rejects {group}: {verdict.reason}")
         rows.append(
             {
                 "rank": data["rank"],

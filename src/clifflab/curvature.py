@@ -19,7 +19,6 @@ denominator; every check is exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -32,6 +31,7 @@ from .structure import (
     EvenCliffordStructure,
     Failure,
     VerificationReport,
+    format_residual,
     volume_endomorphism,
 )
 
@@ -42,16 +42,6 @@ class CurvatureError(ValueError):
 
 class CalibrationError(ValueError):
     """Scales that do not produce an algebraic curvature tensor."""
-
-
-def _normalize(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
-    if den < 0:
-        num, den = -num, -den
-    g = int(np.gcd.reduce(np.abs(num).reshape(-1), initial=den))
-    if g > 1:
-        num = num // g
-        den //= g
-    return num, den
 
 
 class CurvatureOperator:
@@ -65,7 +55,7 @@ class CurvatureOperator:
         if num.shape != (n, n, n, n):
             raise CurvatureError(f"tensor shape {num.shape} does not match n={n}")
         self.n = n
-        self.num, self.den = _normalize(num.astype(np.int64), den)
+        self.num, self.den = linalg.normalize(num.astype(np.int64), den)
         self._pairs = linalg.pair_basis(n)
         if check:
             problems = self.symmetry_violations()
@@ -119,10 +109,7 @@ class CurvatureOperator:
 
     def ricci(self) -> np.ndarray:
         """Ricci tensor as a Fraction-valued symmetric matrix."""
-        num = self.ricci_num()
-        return np.array(
-            [[Fraction(int(x), self.den) for x in row] for row in num], dtype=object
-        )
+        return linalg.fraction_array(self.ricci_num(), self.den)
 
     def scalar(self) -> Fraction:
         return Fraction(int(np.trace(self.ricci_num())), self.den)
@@ -130,14 +117,6 @@ class CurvatureOperator:
     def rhat_trace(self) -> Fraction:
         rhat, den = self.rhat_matrix()
         return Fraction(int(np.trace(rhat)), den)
-
-
-def ricci(op: CurvatureOperator) -> np.ndarray:
-    return op.ricci()
-
-
-def scalar(op: CurvatureOperator) -> Fraction:
-    return op.scalar()
 
 
 # -- model constructors --------------------------------------------------------
@@ -199,22 +178,20 @@ def quaternionic_op(
     trip = tuple(triple) if triple is not None else quaternion_units(q)
     if len(trip) != 3:
         raise CurvatureError("need a triple I, J, K")
-    if not np.array_equal(linalg.mm(trip[0], trip[1]), trip[2]):
+    if not np.array_equal(linalg.imatmul(trip[0], trip[1]), trip[2]):
         raise CurvatureError("triple must satisfy I J = K")
     c4 = Fraction(c) / 4
     t = _kahler_type_tensor(trip, n)
     return CurvatureOperator(n, c4.numerator * t, c4.denominator), trip
 
 
-def _projection_matrix(basis: Sequence[np.ndarray], n: int) -> linalg.FracMatrix:
-    """Orthogonal projection of the pair-coordinate space onto a span."""
-    cols = [linalg.skew_to_coords(b) for b in basis]
-    m = len(linalg.pair_basis(n))
-    b = [[Fraction(int(cols[c][rww])) for c in range(len(cols))] for rww in range(m)]
-    gram = linalg.frac_matmul([[b[rww][c] for rww in range(m)] for c in range(len(cols))], b)
-    inv = linalg.inverse(gram)
-    bt = [[b[rww][c] for rww in range(m)] for c in range(len(cols))]
-    return linalg.frac_matmul(linalg.frac_matmul(b, inv), bt)
+def _projection_matrix(basis: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
+    """Orthogonal projection of the pair-coordinate space onto the span of
+    independent skew matrices, as (numerator, den): P = B (B^T B)^-1 B^T for
+    their coordinate columns B."""
+    b = np.stack([linalg.skew_to_coords(g) for g in basis], axis=1)
+    inv_num, inv_den = linalg.inverse(linalg.imatmul(b.T, b))
+    return linalg.normalize(linalg.imatmul(linalg.imatmul(b, inv_num), b.T), inv_den)
 
 
 def isotropy_projection_op(
@@ -237,45 +214,35 @@ def isotropy_projection_op(
         for g in ideal:
             if not linalg.is_skew(np.asarray(g)):
                 raise CurvatureError("ideal generators must be skew")
-    # bracket closure per ideal, cross brackets vanish
-    for a_i, ideal_a in enumerate(ideals):
-        span_rows = linalg.to_fractions([linalg.skew_to_coords(g).tolist() for g in ideal_a])
-        reduced, pivots = linalg.rref(span_rows)
-        reduced = reduced[: len(pivots)]
-        for b_i, ideal_b in enumerate(ideals):
-            for x in ideal_a:
-                for y in ideal_b:
-                    br = linalg.commutator(np.asarray(x), np.asarray(y))
-                    if a_i == b_i:
-                        coords = [Fraction(int(t)) for t in linalg.skew_to_coords(br)]
-                        if not linalg.in_row_span(reduced, pivots, coords):
-                            raise CurvatureError("generators are not closed under brackets")
-                    elif br.any():
+    projections = [_projection_matrix([np.asarray(g) for g in ideal]) for ideal in ideals]
+    # bracket closure per ideal, one batch per generator: P C = C for the
+    # bracket coordinates C; cross brackets vanish
+    stacks = [np.stack([np.asarray(g) for g in ideal]) for ideal in ideals]
+    for a_i, xa in enumerate(stacks):
+        for b_i, xb in enumerate(stacks):
+            for x in xa:
+                brackets = linalg.commutator(x, xb)
+                if a_i != b_i:
+                    if brackets.any():
                         raise CurvatureError("ideals do not commute; not a direct sum")
+                    continue
+                p_num, p_den = projections[a_i]
+                c = linalg.skew_to_coords(brackets).T
+                if not np.array_equal(linalg.imatmul(p_num, c), p_den * c):
+                    raise CurvatureError("generators are not closed under brackets")
 
     m = len(linalg.pair_basis(n))
-    rhat = [[Fraction(0)] * m for _ in range(m)]
-    for ideal, scale in zip(ideals, scales):
-        p = _projection_matrix(ideal, n)
-        s = Fraction(scale)
-        for i in range(m):
-            for j in range(m):
-                rhat[i][j] += s * p[i][j]
-    den = 1
-    for row in rhat:
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    rhat_num = np.array([[int(x * den) for x in row] for row in rhat], dtype=np.int64)
+    rhat_num, den = linalg.rational_combination(
+        ((Fraction(scale) / p_den, p_num) for (p_num, p_den), scale in zip(projections, scales)), m
+    )
 
     num = np.zeros((n, n, n, n), dtype=np.int64)
-    pairs = linalg.pair_basis(n)
-    for p, (a, b) in enumerate(pairs):
-        for q_i, (c, d) in enumerate(pairs):
-            v = -rhat_num[p, q_i]
-            num[a, b, c, d] = v
-            num[b, a, c, d] = -v
-            num[a, b, d, c] = -v
-            num[b, a, d, c] = v
+    a, b = np.triu_indices(n, 1)
+    ap, bp, aq, bq = a[:, None], b[:, None], a[None, :], b[None, :]
+    num[ap, bp, aq, bq] = -rhat_num
+    num[bp, ap, aq, bq] = rhat_num
+    num[ap, bp, bq, aq] = rhat_num
+    num[bp, ap, bq, aq] = -rhat_num
     try:
         return CurvatureOperator(n, num, den)
     except CurvatureError as err:
@@ -298,14 +265,17 @@ def lambda2_spectrum(
     """
     rhat_num, den = op.rhat_matrix()
     m = rhat_num.shape[0]
+    ident = linalg.eye(m)
+
+    def shifted(lam: Fraction) -> np.ndarray:
+        # a positive multiple of R^ - lam with integer entries
+        terms = ((lam.denominator, rhat_num), (-lam.numerator * den, ident))
+        return linalg.rational_combination(terms, m)[0]
+
     out = []
     total = 0
     for lam in sorted({Fraction(c) for c in candidates}):
-        shifted = [
-            [Fraction(int(rhat_num[i][j]), den) - (lam if i == j else 0) for j in range(m)]
-            for i in range(m)
-        ]
-        mult = m - linalg.rank(shifted)
+        mult = m - linalg.rank(shifted(lam))
         if mult:
             out.append((lam, mult))
             total += mult
@@ -313,11 +283,10 @@ def lambda2_spectrum(
         raise CurvatureError(
             f"candidate eigenvalues cover {total} of {m} dimensions; spectrum incomplete"
         )
-    prod = linalg.eye(m).astype(object)
+    prod = ident
     for lam, _ in out:
-        shifted = rhat_num.astype(object) * Fraction(1, den) - lam * linalg.eye(m).astype(object)
-        prod = prod @ shifted
-    if any(Fraction(x) != 0 for x in prod.reshape(-1)):
+        prod = linalg.imatmul(prod, shifted(lam))
+    if prod.any():
         raise CurvatureError("annihilating polynomial check failed; spectrum incomplete")
     return out
 
@@ -367,7 +336,7 @@ def verify_parallel_identities(
                 Failure(
                     "two_form_eigenvalue",
                     (i, k),
-                    str(Fraction(int(np.abs(lhs - rhs).max()), 4 * kappa.denominator * den)),
+                    format_residual(lhs - rhs, 4 * kappa.denominator * den),
                 )
             )
 
@@ -389,10 +358,13 @@ def verify_parallel_identities(
                 rhs += np.einsum("p,ab->pab", coeff, target)
         residual = kappa.denominator * lhs - kappa.numerator * den * rhs
         if residual.any():
-            worst = Fraction(int(np.abs(residual).max()), kappa.denominator * den)
             bad = int(np.abs(residual.reshape(len(pairs0), -1)).max(axis=1).argmax())
             failures.append(
-                Failure("curvature_action", (i, j) + pairs0[bad], str(worst))
+                Failure(
+                    "curvature_action",
+                    (i, j) + pairs0[bad],
+                    format_residual(residual, kappa.denominator * den),
+                )
             )
 
     ric = op.ricci_num()
@@ -402,7 +374,7 @@ def verify_parallel_identities(
             Failure(
                 "einstein",
                 (),
-                str(Fraction(int(np.abs(einstein).max()), 4 * kappa.denominator * den)),
+                format_residual(einstein, 4 * kappa.denominator * den),
             )
         )
 
@@ -420,7 +392,7 @@ def verify_parallel_identities(
                 Failure(
                     "ricci_system",
                     (i, j),
-                    str(Fraction(int(np.abs(acc).max()), 4 * kappa.denominator * den)),
+                    format_residual(acc, 4 * kappa.denominator * den),
                 )
             )
 
@@ -438,7 +410,7 @@ def verify_cc_normalization(op: CurvatureOperator, s: EvenCliffordStructure) -> 
     failures = list(base.failures)
     n, r = s.n, s.r
     data = {}
-    expected = 2 * n * (Fraction(n, 4) + 2 * r - 4)
+    expected = cc_scal(n, r)
     got = op.scalar()
     if got != expected:
         failures.append(Failure("scalar_curvature", (), str(got - expected)))
@@ -466,28 +438,14 @@ def centralizer_dim(gens: Sequence[np.ndarray]) -> tuple[int, list[np.ndarray]]:
     """
     gens = [np.asarray(g) for g in gens]
     n = gens[0].shape[0]
-    pairs = linalg.pair_basis(n)
-    m = len(pairs)
-    basis_elems = [linalg.coords_to_skew(e, n) for e in np.eye(m, dtype=np.int64)]
-    stacked = []
-    for g in gens:
-        # columns: basis coefficient x_p; rows: coordinate slots of [E_p, G]
-        block = np.stack(
-            [linalg.skew_to_coords(linalg.commutator(e, g)) for e in basis_elems]
-        ).T
-        stacked.extend([Fraction(int(x)) for x in row] for row in block)
+    m = len(linalg.pair_basis(n))
+    basis_elems = np.stack([linalg.coords_to_skew(e, n) for e in linalg.eye(m)])
+    # rows: coordinate slots of [E_p, G] for every G; columns: coefficient x_p
+    stacked = np.concatenate(
+        [linalg.skew_to_coords(linalg.commutator(basis_elems, g)).T for g in gens]
+    )
     kernel = linalg.nullspace(stacked)
-    basis = []
-    for v in kernel:
-        den = 1
-        for x in v:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        ints = np.array([int(x * den) for x in v], dtype=np.int64)
-        g = int(np.gcd.reduce(np.abs(ints), initial=0))
-        if g > 1:
-            ints //= g
-        basis.append(linalg.coords_to_skew(ints, n))
-    return len(kernel), basis
+    return len(kernel), [linalg.coords_to_skew(v, n) for v in kernel]
 
 
 # -- model spaces -----------------------------------------------------------------

@@ -1,17 +1,33 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the integers and the rationals.
 
-Dense integer matrices are handled as numpy int64 arrays (safe here: every
-matrix in this package has entries bounded by a few hundred, far below the
-int64 overflow threshold even after products).  Anything that needs division
-goes through Fraction-based Gaussian elimination in plain Python lists.
+There is one exact number format.  A rational matrix is an integer numerator
+array over one positive int denominator, ``(num, den)``.  The numerator is an
+int64 array where a bound certifies that every value stays below 2^62, and
+an object array of Python ints otherwise.  The spare bit makes the sum or
+difference of two int64 arrays exact, so nothing wraps silently.  Rational scalar objects appear only at the public boundary,
+where ``fraction_array`` turns ``(num, den)`` into the matrix of fractions a
+caller expects.
+
+Products climb a certificate ladder (``imatmul``): float64 BLAS when
+max|a| max|b| k < 2^53, where float64 arithmetic on integers is exact; int64
+when that bound is below 2^62; Python ints otherwise.  A Python-int operand
+keeps the product in Python ints.
+
+Elimination is fraction-free (Bareiss 1968, Math. Comp. 22): every entry of
+the working matrix is a minor of the input, every division is exact, and the
+reduced echelon form comes out as ``(num, den)`` with den the pivot minor.
+``rank``, ``nullspace`` (a primitive integer basis) and ``inverse`` are built
+on it.  The working dtype is int64 only under a Hadamard bound on all minors.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
+import math
 
 import numpy as np
+
+_FLOAT_EXACT_BOUND = 2**53
+_INT64_BOUND = 2**62
 
 
 def intmat(rows) -> np.ndarray:
@@ -31,7 +47,7 @@ def is_skew(a: np.ndarray) -> bool:
 
 
 def is_orthogonal(a: np.ndarray) -> bool:
-    return np.array_equal(a.T @ a, eye(a.shape[0]))
+    return np.array_equal(imatmul(a.T, a), eye(a.shape[0]))
 
 
 def is_signed_permutation(a: np.ndarray) -> bool:
@@ -42,161 +58,197 @@ def is_signed_permutation(a: np.ndarray) -> bool:
     return bool((absa.sum(axis=0) == 1).all() and (absa.sum(axis=1) == 1).all())
 
 
-_FLOAT_EXACT_BOUND = 2**53
+def max_abs(a: np.ndarray) -> int:
+    """Largest absolute entry as a Python int (0 for an empty array)."""
+    return int(np.abs(a).max(initial=0))
+
+
+def exact(a: np.ndarray, bound: int) -> np.ndarray:
+    """``a`` in the dtype that holds every value up to ``bound`` exactly:
+    int64 below 2^62, Python-int objects from there on."""
+    return a.astype(np.int64 if bound < _INT64_BOUND else object, copy=False)
+
+
+def _shrink(a: np.ndarray) -> np.ndarray:
+    """Back to int64 when every entry fits."""
+    return exact(a, max_abs(a))
+
+
+def normalize(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """Lowest terms for (num, den), with den > 0 and num int64 where it fits."""
+    if den < 0:
+        num, den = -num, -den
+    g = math.gcd(den, int(np.gcd.reduce(np.abs(num).reshape(-1), initial=0)))
+    if g > 1:
+        num = num // g
+        den //= g
+    return _shrink(num), den
+
+
+def fraction_array(num: np.ndarray, den: int) -> np.ndarray:
+    """The boundary form: an object array of Fractions equal to num / den."""
+    from fractions import Fraction
+
+    out = np.empty(num.shape, dtype=object)
+    for idx, x in np.ndenumerate(num):
+        out[idx] = Fraction(int(x), den)
+    return out
+
+
+def rational_combination(terms, n: int) -> tuple[np.ndarray, int]:
+    """Exact sum of c * m over (c, m) in ``terms``, m integer n x n and c an
+    int or rational scalar, as (num, den) in lowest terms."""
+    terms = [(c, m) for c, m in terms]
+    den = math.lcm(*(c.denominator for c, _ in terms))
+    scaled = [(int(c.numerator) * (den // c.denominator), m) for c, m in terms]
+    bound = sum(abs(k) * max_abs(m) for k, m in scaled)
+    acc = exact(zeros(n), bound)
+    for k, m in scaled:
+        acc += k * exact(m, bound)
+    return normalize(acc, den)
 
 
 def imatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integer matrix product.
+    """Exact integer matrix product (stacks broadcast as in np.matmul).
 
-    Uses float64 BLAS when every intermediate value provably stays below
-    2^53 (float64 arithmetic on such integers is exact), falling back to the
-    slower native integer loop otherwise.
+    The cheapest certified backend is used: float64 BLAS when every partial
+    sum provably stays below 2^53, int64 below 2^62, Python ints otherwise.
     """
-    k = a.shape[-1]
-    ma = int(np.abs(a).max(initial=0))
-    mb = int(np.abs(b).max(initial=0))
-    if ma * mb * k < _FLOAT_EXACT_BOUND:
+    if a.dtype == object or b.dtype == object:
+        return a.astype(object) @ b.astype(object)
+    bound = max_abs(a) * max_abs(b) * a.shape[-1]
+    if bound < _FLOAT_EXACT_BOUND:
         return np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-    return a @ b
-
-
-def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product for int64 or Fraction-valued (object) arrays."""
-    if a.dtype == np.int64 and b.dtype == np.int64:
-        return imatmul(a, b)
-    return a @ b
+    return exact(a, bound) @ exact(b, bound)
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return mm(a, b) - mm(b, a)
+    return imatmul(a, b) - imatmul(b, a)
 
 
 def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return mm(a, b) + mm(b, a)
+    return imatmul(a, b) + imatmul(b, a)
+
+
+def trace_products(mats, index_pairs) -> list[int]:
+    """trace(mats[p] @ mats[q]) for each (p, q), without forming products.
+
+    One certificate covers the whole batch: n^2 max|entry|^2 < 2^62 keeps
+    int64 accumulation exact.
+    """
+    if not index_pairs:
+        return []
+    n = mats[0].shape[0]
+    bound = n * n * max(max_abs(m) for m in mats) ** 2
+    mats = [exact(m, bound) for m in mats]
+    return [int(np.einsum("ij,ji->", mats[p], mats[q])) for p, q in index_pairs]
 
 
 def trace_product(a: np.ndarray, b: np.ndarray) -> int:
     """trace(a @ b) without forming the product."""
-    return int(np.einsum("ij,ji->", a, b))
+    return trace_products([a, b], [(0, 1)])[0]
 
 
 # ---------------------------------------------------------------------------
-# Fraction matrices: plain lists of lists, row major.
+# Elimination over the integers (Bareiss).
 # ---------------------------------------------------------------------------
 
-FracMatrix = list[list[Fraction]]
+
+def _minor_bound(a: np.ndarray) -> int:
+    """Hadamard bound on every minor: a k x k minor is at most the product
+    of the k largest row norms, k <= min(rows, cols).  Rounded up to a
+    power of two with one bit of slack for float rounding."""
+    with np.errstate(over="ignore"):
+        norms = np.sort(np.sqrt((a.astype(np.float64) ** 2).sum(axis=1)))[::-1][: min(a.shape)]
+        log2 = float(np.log2(norms[norms > 1]).sum())
+    if not math.isfinite(log2):
+        return _INT64_BOUND
+    return 2 ** (math.ceil(log2) + 1)
 
 
-def to_fractions(a) -> FracMatrix:
-    if isinstance(a, np.ndarray):
-        return [[Fraction(int(x)) for x in row] for row in a]
-    return [[Fraction(x) for x in row] for row in a]
+def _eliminate(a, reduced: bool) -> tuple[np.ndarray, list[int]]:
+    """Bareiss elimination; returns the working matrix and pivot columns.
 
-
-def frac_matmul(a: FracMatrix, b: FracMatrix) -> FracMatrix:
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for j in range(k):
-            x = ai[j]
-            if x:
-                bj = b[j]
-                for c in range(m):
-                    if bj[c]:
-                        oi[c] += x * bj[c]
-    return out
-
-
-def rref(a: FracMatrix) -> tuple[FracMatrix, list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    m = [row[:] for row in a]
-    n_rows = len(m)
-    n_cols = len(m[0]) if n_rows else 0
+    Row echelon form when ``reduced`` is false.  Otherwise every pivot row is
+    cleared above and below, and after the last step all pivots equal the
+    final pivot d, so the matrix is d times the reduced row echelon form.
+    """
+    m = np.array(a, dtype=object)
+    if m.ndim != 2:
+        raise ValueError("elimination needs a 2-d matrix")
+    # updates form p * x - q * y of two minors: twice the square of the bound
+    m = exact(m, 2 * _minor_bound(m) ** 2) if m.size else m
+    n_rows, n_cols = m.shape
     pivots: list[int] = []
+    prev = 1
     r = 0
     for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
         if r == n_rows:
             break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        p = m[r, c]
+        rows = np.arange(n_rows) != r if reduced else np.arange(n_rows) > r
+        rest = m[rows]
+        m[rows] = (p * rest - np.outer(rest[:, c], m[r])) // prev
+        prev = p
+        pivots.append(c)
+        r += 1
     return m, pivots
 
 
-def rank(a: FracMatrix | np.ndarray) -> int:
-    if isinstance(a, np.ndarray):
-        a = to_fractions(a)
-    if not a:
+def rref(a) -> tuple[np.ndarray, int, list[int]]:
+    """Reduced row echelon form as (numerator, denominator, pivot columns).
+
+    It is fraction-free: the numerator is an integer matrix and the positive
+    denominator is the leading pivot minor; rows past the rank are zero.
+    """
+    m, pivots = _eliminate(a, reduced=True)
+    if not pivots:
+        return _shrink(m), 1, pivots
+    den = m[len(pivots) - 1, pivots[-1]]
+    if den < 0:
+        m, den = -m, -den
+    return _shrink(m), int(den), pivots
+
+
+def rank(a) -> int:
+    """Rational rank of an integer matrix."""
+    m = np.asarray(a)
+    if m.size == 0:
         return 0
-    return len(rref(a)[1])
+    return len(_eliminate(m, reduced=False)[1])
 
 
-def nullspace(a: FracMatrix | np.ndarray) -> list[list[Fraction]]:
-    """Basis of the right kernel, one vector per free column."""
-    if isinstance(a, np.ndarray):
-        a = to_fractions(a)
-    if not a:
-        return []
-    red, pivots = rref(a)
-    n_cols = len(a[0])
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n_cols
-        v[fc] = Fraction(1)
-        for r_i, pc in enumerate(pivots):
-            v[pc] = -red[r_i][fc]
-        basis.append(v)
-    return basis
+def nullspace(a) -> np.ndarray:
+    """Primitive integer basis of the right kernel, one row per free column.
+
+    Each vector is the rational basis vector of its free column scaled to
+    coprime integers, with a positive entry in that column.
+    """
+    num, den, pivots = rref(a)
+    free = [c for c in range(num.shape[1]) if c not in pivots]
+    basis = exact(np.zeros((len(free), num.shape[1]), dtype=np.int64), max_abs(num) + den)
+    basis[range(len(free)), free] = den
+    basis[:, pivots] = -num[: len(pivots)][:, free].T
+    return _shrink(basis // np.gcd.reduce(basis, axis=1)[:, None])
 
 
-def in_row_span(reduced: FracMatrix, pivots: list[int], v: Sequence[Fraction]) -> bool:
-    """Membership test against a row space given in reduced echelon form."""
-    w = [Fraction(x) for x in v]
-    for row, pc in zip(reduced, pivots):
-        if w[pc]:
-            f = w[pc]
-            w = [x - f * y for x, y in zip(w, row)]
-    return not any(w)
-
-
-def solve(a: FracMatrix, b: Sequence[Fraction]) -> list[Fraction] | None:
-    """One solution of a x = b, or None if inconsistent."""
-    aug = [row[:] + [Fraction(b[i])] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    n_cols = len(a[0])
-    if n_cols in pivots:
-        return None
-    x = [Fraction(0)] * n_cols
-    for r_i, pc in enumerate(pivots):
-        x[pc] = red[r_i][n_cols]
-    return x
-
-
-def inverse(a: FracMatrix | np.ndarray) -> FracMatrix:
-    if isinstance(a, np.ndarray):
-        a = to_fractions(a)
-    n = len(a)
-    aug = [row[:] + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
+def inverse(a) -> tuple[np.ndarray, int]:
+    """Inverse of a square integer matrix as (numerator, den) in lowest
+    terms; raises ValueError when the matrix is singular."""
+    a = np.asarray(a)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError("inverse needs a square matrix")
+    num, den, pivots = rref(np.concatenate([a, eye(n)], axis=1))
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    return normalize(num[:, n:], den)
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +265,17 @@ def pair_basis(n: int) -> list[tuple[int, int]]:
 
 
 def skew_to_coords(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    return np.array([m[b, a] for a, b in pair_basis(n)])
+    """Pair coordinates of a skew matrix, or of each matrix in a stack."""
+    a, b = np.triu_indices(m.shape[-1], 1)
+    return m[..., b, a]
 
 
 def coords_to_skew(v, n: int) -> np.ndarray:
-    out = np.zeros((n, n), dtype=np.asarray(v).dtype)
-    for (a, b), x in zip(pair_basis(n), v):
-        out[b, a] = x
-        out[a, b] = -x
+    v = np.asarray(v)
+    a, b = np.triu_indices(n, 1)
+    out = np.zeros((n, n), dtype=v.dtype)
+    out[b, a] = v
+    out[a, b] = -v
     return out
 
 
@@ -233,11 +287,44 @@ def elementary_rotation(a: int, b: int, n: int) -> np.ndarray:
     return m
 
 
+def as_integer(a) -> np.ndarray:
+    """``a`` as an exact integer array, int64 where it fits; ValueError when
+    an entry is not an integer (bools and floats included)."""
+    arr = np.asarray(a)
+    if arr.dtype.kind not in "iu":
+        for x in arr.flat:
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                raise ValueError(f"entry {x!r} is not an integer")
+    return exact(arr, max_abs(arr))
+
+
+def parse_int_matrix(flat, n: int) -> np.ndarray:
+    """An n x n matrix from a flat JSON list of exactly n^2 integers.
+
+    Bools, floats and anything of absolute value 2^63 or more raise
+    ValueError; nothing is rounded, truncated or wrapped.
+    """
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"dimension {n!r} is not a positive integer")
+    if not isinstance(flat, list) or len(flat) != n * n:
+        raise ValueError(f"expected a list of {n * n} integers")
+    if set(map(type, flat)) - {int}:
+        bad = next(x for x in flat if type(x) is not int)
+        raise ValueError(f"entry {bad!r} is not an integer")
+    try:
+        m = np.array(flat, dtype=np.int64).reshape(n, n)
+    except OverflowError:
+        m = None
+    if m is None or (m == np.iinfo(np.int64).min).any():
+        raise ValueError("an entry is outside the signed 64-bit range")
+    return exact(m, max_abs(m))
+
+
 def rank_mod_p(a: np.ndarray, p: int = 2_147_483_647) -> int:
     """Rank over GF(p); a lower bound for the rational rank.
 
     Used only to certify upper bounds on kernel dimensions for large integer
-    systems where Fraction elimination would be slow.
+    systems where exact elimination would be slow.
     """
     m = np.mod(a.astype(object), p).astype(np.int64) % p
     n_rows, n_cols = m.shape

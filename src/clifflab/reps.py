@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -126,13 +125,15 @@ def _generators_with_volume_sign(r: int, sign: int) -> list[np.ndarray]:
 
     Only meaningful for r = 3 mod 4, where the volume is a central involution.
     """
-    assert r % 4 == 3
+    if r % 4 != 3:
+        raise RepresentationError(f"rank {r}: the volume is a central involution only for r = 3 mod 4")
     gens = _base_generators(r)
     vol = reduce(np.matmul, gens)
     n = gens[0].shape[0]
     if np.array_equal(vol, sign * linalg.eye(n)):
         return gens
-    assert np.array_equal(vol, -sign * linalg.eye(n))
+    if not np.array_equal(vol, -sign * linalg.eye(n)):
+        raise RepresentationError(f"rank {r}: the volume is not +-identity; construction broken")
     return gens[:-1] + [-gens[-1]]
 
 
@@ -198,14 +199,23 @@ class MatrixRep:
 
     @classmethod
     def from_json(cls, text: str) -> "MatrixRep":
+        """Load a repgen file; generators must be exactly dim^2 JSON integers
+        below 2^63 in absolute value, else RepresentationError."""
         data = json.loads(text)
         n = data["dim"]
-        gens = tuple(
-            linalg.intmat(np.array(flat, dtype=np.int64).reshape(n, n))
-            for flat in data["generators"]
-        )
+        if not isinstance(data["generators"], list):
+            raise RepresentationError("generators must be a list")
+        try:
+            gens = tuple(linalg.parse_int_matrix(flat, n) for flat in data["generators"])
+        except ValueError as err:
+            raise RepresentationError(f"generator: {err}") from None
+        rank, kind = data["rank"], data["kind"]
+        if kind not in ("full", "even") or isinstance(rank, bool) or not isinstance(rank, int):
+            raise RepresentationError("kind must be full or even, and rank an integer")
+        if len(gens) != (rank if kind == "full" else rank - 1):
+            raise RepresentationError(f"{len(gens)} generators do not fit a {kind} rank-{rank} file")
         split = tuple(data["volume_split"]) if data.get("volume_split") else None
-        return cls(data["rank"], n, data["kind"], gens, split)
+        return cls(rank, n, kind, gens, split)
 
 
 def _check_rank_cap(r: int) -> None:
@@ -226,7 +236,8 @@ def build_clifford_rep(r: int, copies: int = 1) -> MatrixRep:
         raise ValueError("copies must be at least 1")
     _check_rank_cap(r)
     base = _base_generators(r)
-    assert base[0].shape[0] == n_irr(r)
+    if base[0].shape[0] != n_irr(r):
+        raise RepresentationError(f"rank {r}: generators have the wrong size; construction broken")
     gens = tuple(_block_diag([g] * copies) for g in base)
     return MatrixRep(r, n_irr(r) * copies, "full", gens)
 
@@ -307,28 +318,15 @@ def _even_to_generator_word(x: CliffordElement) -> CliffordElement:
 
 
 def _evaluate_word(generators, x: CliffordElement) -> np.ndarray:
+    """Sum over the terms, on numerators over the lcm of the coefficient
+    denominators; an integral result comes back as an integer matrix."""
     n = generators[0].shape[0]
-    acc_int = linalg.zeros(n)
-    acc_frac: dict[tuple[int, int], Fraction] = {}
-    exact = True
-    for indices, coeff in x.items():
-        mat = linalg.eye(n)
-        for i in indices:
-            mat = linalg.imatmul(mat, generators[i - 1])
-        if coeff.denominator == 1:
-            acc_int += int(coeff) * mat
-        else:
-            exact = False
-            for (a, b) in zip(*np.nonzero(mat)):
-                key = (int(a), int(b))
-                acc_frac[key] = acc_frac.get(key, Fraction(0)) + coeff * int(mat[a, b])
-    if exact:
-        return acc_int
-    out = np.empty((n, n), dtype=object)
-    for a in range(n):
-        for b in range(n):
-            out[a, b] = Fraction(int(acc_int[a, b])) + acc_frac.get((a, b), Fraction(0))
-    return out
+    words = (
+        (coeff, reduce(linalg.imatmul, (generators[i - 1] for i in indices), linalg.eye(n)))
+        for indices, coeff in x.items()
+    )
+    num, den = linalg.rational_combination(words, n)
+    return num if den == 1 else linalg.fraction_array(num, den)
 
 
 def evaluate(rep: MatrixRep, x: CliffordElement) -> np.ndarray:
@@ -367,8 +365,7 @@ class JFamily:
         return sorted(self.mats)
 
     def span_dimension(self) -> int:
-        rows = [linalg.skew_to_coords(self.mats[p]).tolist() for p in self.pairs()]
-        return linalg.rank(linalg.to_fractions(rows))
+        return linalg.rank(np.stack([linalg.skew_to_coords(self.mats[p]) for p in self.pairs()]))
 
 
 def j_family(rep: MatrixRep) -> JFamily:
@@ -394,8 +391,8 @@ def j_family(rep: MatrixRep) -> JFamily:
 class TrialityCertificate:
     """The so(8) automorphism carrying half-spin data to vector data.
 
-    map_matrix acts on coordinates of skew 8x8 matrices (see linalg) and is
-    defined by sending half of each plus-block J_ij to the elementary
+    map_num / map_den acts on coordinates of skew 8x8 matrices (see linalg)
+    and is defined by sending half of each plus-block J_ij to the elementary
     rotation with the same labels.  The certificate records that the
     defining system was invertible and that all basis brackets are
     preserved, and it carries the pulled-back family: the images of the
@@ -405,7 +402,8 @@ class TrialityCertificate:
     triality and is not true for a generic linear map.
     """
 
-    map_matrix: list
+    map_num: np.ndarray
+    map_den: int
     bijective: bool
     brackets_checked: int
     brackets_exact: bool
@@ -413,65 +411,56 @@ class TrialityCertificate:
     pulled_back: JFamily
 
     def apply(self, skew: np.ndarray) -> np.ndarray:
-        v = [Fraction(int(x)) if not isinstance(x, Fraction) else x
-             for x in linalg.skew_to_coords(skew)]
-        w = [sum(row[k] * v[k] for k in range(len(v))) for row in self.map_matrix]
-        return linalg.coords_to_skew(np.array(w, dtype=object), 8)
+        """Image of an integer skew matrix, as a matrix of Fractions."""
+        w = linalg.imatmul(self.map_num, linalg.skew_to_coords(skew)[:, None])[:, 0]
+        return linalg.fraction_array(linalg.coords_to_skew(w, 8), self.map_den)
 
 
 def triality_map() -> TrialityCertificate:
     rep = build_even_rep(8, 1, 1)
     fam = j_family(rep)
     vol = evaluate(rep, volume_element(AlgebraSignature(8)))
-    assert np.array_equal(vol, _block_diag([linalg.eye(8), -linalg.eye(8)]))
+    if not np.array_equal(vol, _block_diag([linalg.eye(8), -linalg.eye(8)])):
+        raise RepresentationError("rank 8 volume is not diag(+I, -I); construction broken")
 
     plus = {(i, j): m[:8, :8] for (i, j), m in fam.mats.items()}
 
     pairs = sorted(plus)
-    # Columns: coordinates of (1/2) J+_ij; target: elementary rotations.
-    cols = [linalg.skew_to_coords(plus[p]) for p in pairs]
-    b = [[Fraction(int(cols[c][rw]), 2) for c in range(28)] for rw in range(28)]
+    # Columns: coordinates of J+_ij; the map inverts their halves, so it is
+    # twice the inverse of this integer matrix.
+    cols = np.stack([linalg.skew_to_coords(plus[p]) for p in pairs], axis=1)
     try:
-        m_phi = linalg.inverse(b)
-        bijective = True
+        inv_num, inv_den = linalg.inverse(cols)
     except ValueError:
         raise RepresentationError("triality system is singular; construction broken")
+    map_num, map_den = linalg.normalize(2 * inv_num, inv_den)
 
-    def apply_int(mat: np.ndarray) -> list[Fraction]:
-        v = linalg.skew_to_coords(mat)
-        return [sum(row[k] * int(v[k]) for k in range(28)) for row in m_phi]
+    # Bracket preservation on all basis pairs, as one product:
+    # phi([J/2, J'/2]) = phi([J, J'])/4 must be the bracket of the rotations.
+    spin = np.stack([plus[p] for p in pairs])
+    rotations = np.stack([linalg.elementary_rotation(i - 1, j - 1, 8) for (i, j) in pairs])
+    upper = np.triu_indices(len(pairs), 1)
 
-    # Bracket preservation on all basis pairs.
-    checked = 0
-    exact = True
-    rotations = {
-        (i, j): linalg.elementary_rotation(i - 1, j - 1, 8) for (i, j) in pairs
-    }
-    for x in range(len(pairs)):
-        for y in range(x + 1, len(pairs)):
-            pi, pj = pairs[x], pairs[y]
-            lhs_coords = apply_int(linalg.commutator(plus[pi], plus[pj]))
-            # [J/2, J'/2] = [J, J']/4.
-            lhs_coords = [c / 4 for c in lhs_coords]
-            rhs = linalg.commutator(rotations[pi], rotations[pj])
-            rhs_coords = [Fraction(int(t)) for t in linalg.skew_to_coords(rhs)]
-            checked += 1
-            if lhs_coords != rhs_coords:
-                exact = False
+    def bracket_coords(stack: np.ndarray) -> np.ndarray:
+        return linalg.skew_to_coords(linalg.commutator(stack[:, None], stack[None, :])[upper]).T
 
+    exact = np.array_equal(
+        linalg.imatmul(map_num, bracket_coords(spin)), 4 * map_den * bracket_coords(rotations)
+    )
+
+    # images of the doubled rotations
+    images = linalg.imatmul(map_num, linalg.skew_to_coords(rotations).T)
     pulled = {}
-    for (i, j) in pairs:
-        w = [2 * c for c in apply_int(linalg.elementary_rotation(i - 1, j - 1, 8))]
-        if all(x.denominator == 1 for x in w):
-            arr = linalg.coords_to_skew(np.array([int(x) for x in w], dtype=np.int64), 8)
-        else:
-            arr = linalg.coords_to_skew(np.array(w, dtype=object), 8)
-        pulled[(i, j)] = arr
+    for t, p in enumerate(pairs):
+        w, den = linalg.normalize(2 * images[:, t], map_den)
+        arr = linalg.coords_to_skew(w, 8)
+        pulled[p] = arr if den == 1 else linalg.fraction_array(arr, den)
 
     return TrialityCertificate(
-        map_matrix=m_phi,
-        bijective=bijective,
-        brackets_checked=checked,
+        map_num=map_num,
+        map_den=map_den,
+        bijective=True,
+        brackets_checked=len(upper[0]),
         brackets_exact=exact,
         spin_family=JFamily(8, 8, plus),
         pulled_back=JFamily(8, 8, pulled),

@@ -18,12 +18,13 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import linalg
-from .blades import AlgebraSignature, CliffordElement, hodge_dual_element, volume_element, volume_square_sign
+from .blades import AlgebraSignature, CliffordElement, hodge_dual_vector, volume_element, volume_square_sign
 from .reps import JFamily, MatrixRep, UnsupportedRankError, evaluate, j_family
 
 
@@ -43,17 +44,9 @@ class ExtensionRejected(ValueError):
         self.witness = witness
 
 
-def _max_abs(m: np.ndarray) -> str:
-    if m.dtype == np.int64:
-        return str(int(np.abs(m).max(initial=0)))
-    worst = max((abs(Fraction(x)) for x in m.reshape(-1)), default=Fraction(0))
-    return str(worst)
-
-
-def _is_zero(m: np.ndarray) -> bool:
-    if m.dtype == np.int64:
-        return not m.any()
-    return all(Fraction(x) == 0 for x in m.reshape(-1))
+def format_residual(num: np.ndarray, den: int = 1) -> str:
+    """The largest absolute entry of num / den, as the report prints it."""
+    return str(Fraction(linalg.max_abs(num), den))
 
 
 @dataclass
@@ -117,7 +110,10 @@ class EvenCliffordStructure:
             arr = np.asarray(m)
             if arr.shape != (n, n):
                 raise StructureError(f"J_{i}{j} has shape {arr.shape}, expected {(n, n)}")
-            clean[(i, j)] = arr
+            try:
+                clean[(i, j)] = linalg.as_integer(arr)
+            except ValueError as err:
+                raise StructureError(f"J_{i}{j}: {err}") from None
         expected = {(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)}
         if set(clean) != expected:
             raise StructureError("family must contain exactly the pairs i < j")
@@ -147,29 +143,46 @@ class EvenCliffordStructure:
 
     @classmethod
     def from_json(cls, text: str) -> "EvenCliffordStructure":
+        """Load a repgen file or an explicit family.
+
+        Only JSON integers below 2^63 in absolute value are accepted, exactly
+        n^2 per matrix; anything else raises StructureError.
+        """
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise StructureError("a structure file holds one JSON object")
         if "generators" in data:
             return cls.from_rep(MatrixRep.from_json(text))
-        n = data["n"]
-        mats = {
-            (t["i"], t["j"]): np.array(t["matrix"], dtype=np.int64).reshape(n, n)
-            for t in data["J"]
-        }
-        return cls.from_matrices(n, data["r"], mats)
+        n, r = data["n"], data["r"]
+        if not (_is_int(n) and _is_int(r) and n >= 1):
+            raise StructureError("n and r must be integers, n >= 1")
+        if not (isinstance(data["J"], list) and all(isinstance(t, dict) for t in data["J"])):
+            raise StructureError("J must be a list of objects")
+        mats = {}
+        for t in data["J"]:
+            key = (t["i"], t["j"])
+            if not all(_is_int(x) for x in key):
+                raise StructureError(f"family keys must be integers, got {key}")
+            try:
+                mats[key] = linalg.parse_int_matrix(t["matrix"], n)
+            except ValueError as err:
+                raise StructureError(f"J_{key[0]}{key[1]}: {err}") from None
+        return cls.from_matrices(n, r, mats)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def verify_relations(s: EvenCliffordStructure) -> VerificationReport:
     """Exact check of the Clifford relations of the family.
 
-    Integer families run through batched float64 products; every value in
-    sight is an integer far below 2^53, where float64 arithmetic is exact.
+    Signed-permutation families compose in O(n) per check; every other
+    family runs through batched products certified by ``linalg.imatmul``.
     """
     failures = _verify_relations_signed_perm(s)
     if failures is None:
-        if s.j(1, 2).dtype == np.int64 and int(np.abs(s.j(1, 2)).max(initial=0)) < 2**20:
-            failures = _verify_relations_int(s)
-        else:
-            failures = _verify_relations_generic(s)
+        failures = _verify_relations_dense(s)
     return VerificationReport("relations", not failures, failures)
 
 
@@ -216,13 +229,13 @@ def _verify_relations_signed_perm(s: EvenCliffordStructure) -> list[Failure] | N
         return out
 
     def residual(a, b) -> str:
-        return str(int(np.abs(dense(a) - dense(b)).max()))
+        return format_residual(dense(a) - dense(b))
 
     for (i, j) in s.pairs():
         m = s.family.mats[(i, j)]
         res = m + m.T
         if res.any():
-            failures.append(Failure("skew_symmetry", (i, j), str(int(np.abs(res).max()))))
+            failures.append(Failure("skew_symmetry", (i, j), format_residual(res)))
         sq = compose(parts[(i, j)], parts[(i, j)])
         if not (np.array_equal(sq[0], idx) and (sq[1] == -1).all()):
             failures.append(Failure("unit_square", (i, j), residual(sq, (idx, -np.ones(n, dtype=np.int64)))))
@@ -246,91 +259,51 @@ def _verify_relations_signed_perm(s: EvenCliffordStructure) -> list[Failure] | N
     return failures
 
 
-def _verify_relations_int(s: EvenCliffordStructure) -> list[Failure]:
+def _verify_relations_dense(s: EvenCliffordStructure) -> list[Failure]:
+    """Batched dense products, one certified ``imatmul`` per batch; every
+    residual is a product plus at most one more exact term."""
     n, r = s.n, s.r
     pairs = s.pairs()
     order = [(i, j) for i in range(1, r + 1) for j in range(1, r + 1) if i != j]
     pos = {p: t for t, p in enumerate(order)}
-    stack_int = np.stack([s.j(i, j) for (i, j) in order])
-    stack = stack_int.astype(np.float64)
-    ident = np.eye(n)
+    stack = np.stack([s.j(i, j) for (i, j) in order])
+    ident = linalg.eye(n)
     failures = []
 
     for (i, j) in pairs:
-        m = stack_int[pos[(i, j)]]
+        m = stack[pos[(i, j)]]
         res = m + m.T
         if res.any():
-            failures.append(Failure("skew_symmetry", (i, j), str(int(np.abs(res).max()))))
+            failures.append(Failure("skew_symmetry", (i, j), format_residual(res)))
     sub = stack[[pos[p] for p in pairs]]
-    squares = np.matmul(sub, sub) + ident
+    squares = linalg.imatmul(sub, sub) + ident
     for t, (i, j) in enumerate(pairs):
         if squares[t].any():
-            failures.append(Failure("unit_square", (i, j), str(int(np.abs(squares[t]).max()))))
+            failures.append(Failure("unit_square", (i, j), format_residual(squares[t])))
 
     for i in range(1, r + 1):
         js = [j for j in range(1, r + 1) if j != i]
         f = stack[[pos[(i, j)] for j in js]]
-        prod = np.matmul(f[:, None], f[None, :])
+        prod = linalg.imatmul(f[:, None], f[None, :])
         for a, j in enumerate(js):
             for b, k in enumerate(js):
                 if j == k:
                     continue
                 res = prod[a, b] - stack[pos[(j, k)]]
                 if res.any():
-                    failures.append(
-                        Failure("shared_index_composition", (i, j, k), str(int(np.abs(res).max())))
-                    )
+                    failures.append(Failure("shared_index_composition", (i, j, k), format_residual(res)))
 
     for t, (i, j) in enumerate(pairs):
         others = [u for u, (k, l) in enumerate(pairs) if u > t and len({i, j, k, l}) == 4]
         if not others:
             continue
         rest = sub[others]
-        diff = np.matmul(sub[t], rest) - np.matmul(rest, sub[t])
+        diff = linalg.imatmul(sub[t], rest) - linalg.imatmul(rest, sub[t])
         for slot, u in enumerate(others):
             if diff[slot].any():
                 failures.append(
-                    Failure(
-                        "disjoint_commutation",
-                        (i, j) + pairs[u],
-                        str(int(np.abs(diff[slot]).max())),
-                    )
+                    Failure("disjoint_commutation", (i, j) + pairs[u], format_residual(diff[slot]))
                 )
-    return failures
-
-
-def _verify_relations_generic(s: EvenCliffordStructure) -> list[Failure]:
-    n = s.n
-    ident = np.array(
-        [[Fraction(int(x)) for x in row] for row in linalg.eye(n)], dtype=object
-    )
-    failures = []
-    ext = {}
-    for i in range(1, s.r + 1):
-        for j in range(1, s.r + 1):
-            if i != j:
-                ext[(i, j)] = s.j(i, j)
-    for (i, j) in s.pairs():
-        m = ext[(i, j)]
-        if not _is_zero(m + m.T):
-            failures.append(Failure("skew_symmetry", (i, j), _max_abs(m + m.T)))
-        res = linalg.mm(m, m) + ident
-        if not _is_zero(res):
-            failures.append(Failure("unit_square", (i, j), _max_abs(res)))
-    for i in range(1, s.r + 1):
-        for j in range(1, s.r + 1):
-            for k in range(1, s.r + 1):
-                if len({i, j, k}) < 3:
-                    continue
-                res = linalg.mm(ext[(i, j)], ext[(i, k)]) - ext[(j, k)]
-                if not _is_zero(res):
-                    failures.append(Failure("shared_index_composition", (i, j, k), _max_abs(res)))
-    for (i, j) in s.pairs():
-        for (k, l) in s.pairs():
-            if (i, j) < (k, l) and len({i, j, k, l}) == 4:
-                res = linalg.commutator(ext[(i, j)], ext[(k, l)])
-                if not _is_zero(res):
-                    failures.append(Failure("disjoint_commutation", (i, j, k, l), _max_abs(res)))
     return failures
 
 
@@ -341,31 +314,27 @@ def verify_orthogonality(s: EvenCliffordStructure) -> VerificationReport:
     for every rank.  Pairings of disjoint index pairs vanish for r != 4; for
     r = 4 they are reported as data without being asserted.
     """
+    pairs = s.pairs()
+    checked = [
+        (x, y)
+        for x, (i, j) in enumerate(pairs)
+        for y, (k, l) in enumerate(pairs)
+        if (i, j) < (k, l) and len({i, j} & {k, l}) < 2
+    ]
+    traces = linalg.trace_products([s.family.mats[p] for p in pairs], checked)
     failures = []
     pairings = {}
-    for (i, j) in s.pairs():
-        for (k, l) in s.pairs():
-            if (i, j) >= (k, l):
-                continue
-            shared = len({i, j} & {k, l})
-            if shared == 1:
-                t = _trace_pairing(s.j(i, j), s.j(k, l))
-                if t != 0:
-                    failures.append(Failure("shared_index_orthogonality", (i, j, k, l), str(t)))
-            elif shared == 0:
-                t = _trace_pairing(s.j(i, j), s.j(k, l))
-                if s.r == 4:
-                    pairings[f"({i},{j}),({k},{l})"] = str(t)
-                elif t != 0:
-                    failures.append(Failure("disjoint_orthogonality", (i, j, k, l), str(t)))
+    for (x, y), t in zip(checked, traces):
+        (i, j), (k, l) = pairs[x], pairs[y]
+        if len({i, j} & {k, l}) == 1:
+            if t != 0:
+                failures.append(Failure("shared_index_orthogonality", (i, j, k, l), str(t)))
+        elif s.r == 4:
+            pairings[f"({i},{j}),({k},{l})"] = str(t)
+        elif t != 0:
+            failures.append(Failure("disjoint_orthogonality", (i, j, k, l), str(t)))
     data = {"pairings": pairings} if s.r == 4 else {}
     return VerificationReport("orthogonality", not failures, failures, data)
-
-
-def _trace_pairing(a: np.ndarray, b: np.ndarray):
-    if a.dtype == np.int64 and b.dtype == np.int64:
-        return linalg.trace_product(a, b)
-    return sum(Fraction(x) for x in (a * b.T).reshape(-1))
 
 
 def volume_endomorphism(s: EvenCliffordStructure) -> tuple[np.ndarray, dict]:
@@ -378,7 +347,7 @@ def volume_endomorphism(s: EvenCliffordStructure) -> tuple[np.ndarray, dict]:
     if s.r % 2 == 0:
         v = s.j(1, 2)
         for i in range(3, s.r, 2):
-            v = linalg.mm(v, s.j(i, i + 1))
+            v = linalg.imatmul(v, s.j(i, i + 1))
     else:
         if s.rep is None or s.rep.kind != "full":
             raise VolumeError(
@@ -386,22 +355,22 @@ def volume_endomorphism(s: EvenCliffordStructure) -> tuple[np.ndarray, dict]:
                 " representation of the full Clifford algebra"
             )
         v = evaluate(s.rep, volume_element(AlgebraSignature(s.r)))
-    sq = linalg.mm(v, v)
+    sq = linalg.imatmul(v, v)
     expected_sign = volume_square_sign(s.r)
     n = s.n
     ident = linalg.eye(n)
     report = {
         "square_sign": expected_sign,
-        "square_matches": _is_zero(sq - expected_sign * ident),
+        "square_matches": not (sq - expected_sign * ident).any(),
         "commutes_with_family": all(
-            _is_zero(linalg.commutator(v, s.j(i, j))) for (i, j) in s.pairs()
+            not linalg.commutator(v, s.j(i, j)).any() for (i, j) in s.pairs()
         ),
     }
     if s.rep is not None and s.rep.kind == "full":
         sign = -1 if s.r % 2 == 0 else 1
         report["generator_commutation_sign"] = sign
         report["generator_commutation_matches"] = all(
-            np.array_equal(linalg.mm(v, g), sign * linalg.mm(g, v)) for g in s.rep.generators
+            np.array_equal(linalg.imatmul(v, g), sign * linalg.imatmul(g, v)) for g in s.rep.generators
         )
     return v, report
 
@@ -418,12 +387,6 @@ class SplitResult:
     j_plus: dict
     j_minus: dict
     report: VerificationReport
-
-
-def _to_object(m: np.ndarray) -> np.ndarray:
-    if m.dtype == object:
-        return m
-    return np.array([[Fraction(int(x)) for x in row] for row in m], dtype=object)
 
 
 def split_rank4(s: EvenCliffordStructure) -> SplitResult:
@@ -443,79 +406,67 @@ def split_rank4(s: EvenCliffordStructure) -> SplitResult:
     if s.r != 4:
         raise StructureError("splitting is defined for rank 4 only")
     v, vol_report = volume_endomorphism(s)
-    n = s.n
-    if not _is_zero(linalg.mm(v, v) - linalg.eye(n)):
+    ident = linalg.eye(s.n)
+    if (linalg.imatmul(v, v) - ident).any():
         raise StructureError("volume endomorphism is not an involution")
 
-    vq = _to_object(v)
-    iq = _to_object(linalg.eye(n))
-    p_plus = (iq + vq) * Fraction(1, 2)
-    p_minus = (iq - vq) * Fraction(1, 2)
+    # numerators: projectors and frames over 2, the derived families over 4;
+    # every sum below stays under 32 n max|J|^2, else Python ints throughout
+    bound = 32 * s.n * max(linalg.max_abs(m) for m in s.family.mats.values()) ** 2
+    mats = {p: linalg.exact(m, bound) for p, m in s.family.mats.items()}
+    mm = linalg.imatmul
 
-    j12, j13, j14 = _to_object(s.j(1, 2)), _to_object(s.j(1, 3)), _to_object(s.j(1, 4))
-    j23, j24, j34 = _to_object(s.j(2, 3)), _to_object(s.j(2, 4)), _to_object(s.j(3, 4))
+    def j(a, b):
+        return mats[(a, b)]
 
-    frames = {}
-    for sign in (1, -1):
-        frames[sign] = (
-            (j12 + sign * j34) * Fraction(1, 2),
-            (j13 - sign * j24) * Fraction(1, 2),
-            (j14 + sign * j23) * Fraction(1, 2),
-        )
+    projector = {1: ident + v, -1: ident - v}
+    frames = {
+        sign: (j(1, 2) + sign * j(3, 4), j(1, 3) - sign * j(2, 4), j(1, 4) + sign * j(2, 3))
+        for sign in (1, -1)
+    }
 
     failures = []
 
-    def check(name, indices, residual_matrix):
-        if not _is_zero(residual_matrix):
-            failures.append(Failure(name, indices, _max_abs(residual_matrix)))
+    def check(name, indices, num, den):
+        if num.any():
+            failures.append(Failure(name, indices, format_residual(num, den)))
 
     fams = {}
     for sign, tag in ((1, "+"), (-1, "-")):
         f1, f2, f3 = frames[sign]
-        fam = {
-            (1, 2): f1 @ f2,
-            (2, 3): f2 @ f3,
-            (3, 1): f3 @ f1,
-            (1, 3): -(f3 @ f1),
-            (2, 1): -(f1 @ f2),
-            (3, 2): -(f2 @ f3),
-        }
+        fam = {(1, 2): mm(f1, f2), (2, 3): mm(f2, f3), (3, 1): mm(f3, f1)}
         fams[sign] = fam
-        half = Fraction(sign, 2)
-        closed = {
-            (1, 2): (j14 + sign * j23) * half,
-            (3, 1): (j13 - sign * j24) * half,
-            (2, 3): (j12 + sign * j34) * half,
-        }
-        for key, want in closed.items():
-            check(f"closed_form_{tag}", key, fam[key] - want)
-        own = p_plus if sign == 1 else p_minus
-        opposite = p_minus if sign == 1 else p_plus
+        # J+-_12 = +-f3 / 2, J+-_31 = +-f2 / 2, J+-_23 = +-f1 / 2
+        for key, frame in (((1, 2), f3), ((3, 1), f2), ((2, 3), f1)):
+            check(f"closed_form_{tag}", key, fam[key] - 2 * sign * frame, 4)
+        own, opposite = projector[sign], projector[-sign]
         for key in ((1, 2), (2, 3), (3, 1)):
-            check(f"annihilates_own_block_{tag}", key, fam[key] @ own)
+            check(f"annihilates_own_block_{tag}", key, mm(fam[key], own), 8)
         # quaternion relations restricted to the opposite eigenspace
         i_m, j_m, k_m = fam[(1, 2)], fam[(2, 3)], fam[(3, 1)]
-        check(f"square_{tag}", (1, 2), (i_m @ i_m + iq) @ opposite)
-        check(f"square_{tag}", (2, 3), (j_m @ j_m + iq) @ opposite)
-        check(f"square_{tag}", (3, 1), (k_m @ k_m + iq) @ opposite)
-        check(f"product_{tag}", (1, 2, 2, 3), (i_m @ j_m - k_m) @ opposite)
-        check(f"product_{tag}", (2, 3, 3, 1), (j_m @ k_m - i_m) @ opposite)
-        check(f"product_{tag}", (3, 1, 1, 2), (k_m @ i_m - j_m) @ opposite)
+        check(f"square_{tag}", (1, 2), mm(mm(i_m, i_m) + 16 * ident, opposite), 32)
+        check(f"square_{tag}", (2, 3), mm(mm(j_m, j_m) + 16 * ident, opposite), 32)
+        check(f"square_{tag}", (3, 1), mm(mm(k_m, k_m) + 16 * ident, opposite), 32)
+        check(f"product_{tag}", (1, 2, 2, 3), mm(mm(i_m, j_m) - 4 * k_m, opposite), 32)
+        check(f"product_{tag}", (2, 3, 3, 1), mm(mm(j_m, k_m) - 4 * i_m, opposite), 32)
+        check(f"product_{tag}", (3, 1, 1, 2), mm(mm(k_m, i_m) - 4 * j_m, opposite), 32)
 
     for a in ((1, 2), (2, 3), (3, 1)):
         for b in ((1, 2), (2, 3), (3, 1)):
-            check("cross_family_commutation", a + b, linalg.commutator(fams[1][a], fams[-1][b]))
+            check("cross_family_commutation", a + b, linalg.commutator(fams[1][a], fams[-1][b]), 16)
 
     report = VerificationReport(
         "rank4_split", not failures, failures, {"volume": vol_report}
     )
+    half = {sign: tuple(linalg.fraction_array(f, 2) for f in frames[sign]) for sign in (1, -1)}
+    quarter = {sign: {k: linalg.fraction_array(m, 4) for k, m in fams[sign].items()} for sign in (1, -1)}
     return SplitResult(
-        p_plus,
-        p_minus,
-        frames[1],
-        frames[-1],
-        {k: v_ for k, v_ in fams[1].items() if k in ((1, 2), (2, 3), (3, 1))},
-        {k: v_ for k, v_ in fams[-1].items() if k in ((1, 2), (2, 3), (3, 1))},
+        linalg.fraction_array(projector[1], 2),
+        linalg.fraction_array(projector[-1], 2),
+        half[1],
+        half[-1],
+        quarter[1],
+        quarter[-1],
         report,
     )
 
@@ -526,8 +477,10 @@ def split_rank4(s: EvenCliffordStructure) -> SplitResult:
 def extend_hodge(s: EvenCliffordStructure) -> list[np.ndarray]:
     """Extend a rank 3 mod 4 even structure to a full Clifford family.
 
-    K_i is the image of the Hodge dual of e_i, a product of (r-1)/2 mutually
-    commuting skew endomorphisms, hence skew.  For other ranks the duals
+    K_i is the image of the Hodge dual of e_i: with star(e_i) = sign e_a1 ...
+    e_a(r-1), that is sign J_a1a2 J_a3a4 ..., a product of (r-1)/2 mutually
+    commuting skew endomorphisms, hence skew.  The family alone determines
+    it, so explicit families extend as well.  For other ranks the duals
     square to +1 instead of -1 and no extension of this kind exists, so the
     request is refused.
     """
@@ -536,18 +489,21 @@ def extend_hodge(s: EvenCliffordStructure) -> list[np.ndarray]:
             f"rank {s.r}: the grade r-1 duals square to +1 unless r = 3 mod 4;"
             " no Hodge extension exists"
         )
-    if s.rep is None:
-        raise StructureError("Hodge extension needs a backing representation")
     sig = AlgebraSignature(s.r)
-    ks = [evaluate(s.rep, hodge_dual_element(i, sig)) for i in range(1, s.r + 1)]
+    ks = []
+    for i in range(1, s.r + 1):
+        dual = hodge_dual_vector(i, sig)
+        rest = dual.index_set
+        factors = (s.j(rest[t], rest[t + 1]) for t in range(0, len(rest), 2))
+        ks.append(dual.sign * reduce(linalg.imatmul, factors))
     n = s.n
     ident = linalg.eye(n)
     for a, ka in enumerate(ks):
-        if not _is_zero(ka + ka.T):
+        if (ka + ka.T).any():
             raise StructureError(f"Hodge dual image {a + 1} is not skew")
         for b, kb in enumerate(ks):
             want = -2 * ident if a == b else linalg.zeros(n)
-            if not _is_zero(linalg.mm(ka, kb) + linalg.mm(kb, ka) - want):
+            if not np.array_equal(linalg.anticommutator(ka, kb), want):
                 raise StructureError(f"extension fails anticommutation at ({a + 1}, {b + 1})")
     return ks
 
@@ -570,23 +526,18 @@ class EvenAlgebraMorphism:
     def on_blade(self, indices: Sequence[int]) -> np.ndarray:
         if len(indices) % 2:
             raise StructureError("morphism of the even algebra: blades must be even")
-        out = linalg.eye(self.n)
-        for t in range(0, len(indices), 2):
-            out = linalg.mm(out, self._sigma[(indices[t], indices[t + 1])])
-        return out
+        factors = (self._sigma[(indices[t], indices[t + 1])] for t in range(0, len(indices), 2))
+        return reduce(linalg.imatmul, factors, linalg.eye(self.n))
 
     def __call__(self, x: CliffordElement) -> np.ndarray:
         if x.signature.rank != self.k:
             raise StructureError("element rank disagrees with morphism domain")
         if not x.is_even():
             raise StructureError("morphism is defined on the even algebra only")
-        n = self.n
-        acc = np.array([[Fraction(0)] * n for _ in range(n)], dtype=object)
-        for indices, coeff in x.items():
-            acc = acc + coeff * _to_object(self.on_blade(indices))
-        if all(Fraction(v).denominator == 1 for v in acc.reshape(-1)):
-            return np.array([[int(v) for v in row] for row in acc], dtype=np.int64)
-        return acc
+        num, den = linalg.rational_combination(
+            ((coeff, self.on_blade(indices)) for indices, coeff in x.items()), self.n
+        )
+        return num if den == 1 else linalg.fraction_array(num, den)
 
 
 def universal_extension(
@@ -622,7 +573,10 @@ def universal_extension(
         for j in range(i + 1, k + 1):
             if (i, j) not in phi:
                 raise StructureError(f"phi must provide every pair i < j; missing {(i, j)}")
-            mats[(i, j)] = np.asarray(phi[(i, j)])
+            try:
+                mats[(i, j)] = linalg.as_integer(phi[(i, j)])
+            except ValueError as err:
+                raise StructureError(f"phi{(i, j)}: {err}") from None
     if n is None:
         n = mats[(1, 2)].shape[0]
     ident = linalg.eye(n)
@@ -643,7 +597,7 @@ def universal_extension(
                 if l == i:
                     continue
                 want = phi_of(j, l) - (ident if j == l else 0)
-                if not _is_zero(linalg.mm(phi_of(i, j), phi_of(i, l)) - want):
+                if not np.array_equal(linalg.imatmul(phi_of(i, j), phi_of(i, l)), want):
                     raise ExtensionRejected(
                         (i, j, l),
                         f"extension criterion fails at u=e_{i}, v=e_{j}, w=e_{l}",
@@ -654,26 +608,27 @@ def universal_extension(
     # be cleared and the sweep run over integer vectors exactly.
     rng = random.Random(seed)
     sigma = {(i, j): sigma_of(i, j) for i in range(1, k + 1) for j in range(1, k + 1)}
-    if all(sigma[key].dtype == np.int64 for key in sigma):
-        tensor = np.array(
-            [[sigma[(i + 1, j + 1)] for j in range(k)] for i in range(k)], dtype=np.int64
-        )
+    # |sigma(u, v)| <= 36 k^2 (max|phi| + 1) for entries of u, v, w in [-6, 6]
+    size = 36 * k * k * (max(linalg.max_abs(m) for m in sigma.values()) + 1)
+    tensor = linalg.exact(
+        np.array([[sigma[(i + 1, j + 1)] for j in range(k)] for i in range(k)]), 4 * n * size * size
+    )
 
-        def sigma_vec(u, v):
-            return np.einsum("i,j,ijab->ab", u, v, tensor)
+    def sigma_vec(u, v):
+        return np.einsum("i,j,ijab->ab", u, v, tensor)
 
-        def rand_vec():
-            return np.array([rng.randint(-6, 6) for _ in range(k)], dtype=np.int64)
+    def rand_vec():
+        return np.array([rng.randint(-6, 6) for _ in range(k)], dtype=np.int64)
 
-        for _ in range(random_checks):
-            u, v, w = rand_vec(), rand_vec(), rand_vec()
-            h_uv = int(u @ v)
-            h_uu = int(u @ u)
-            if (sigma_vec(u, v) + sigma_vec(v, u) + 2 * h_uv * ident).any():
-                raise ExtensionRejected((0, 0, 0), "polarized symmetry identity fails")
-            lhs = linalg.imatmul(sigma_vec(v, u), sigma_vec(u, w)) + h_uu * sigma_vec(v, w)
-            if lhs.any():
-                raise ExtensionRejected((0, 0, 0), "polarized composition identity fails")
+    for _ in range(random_checks):
+        u, v, w = rand_vec(), rand_vec(), rand_vec()
+        h_uv = int(u @ v)
+        h_uu = int(u @ u)
+        if (sigma_vec(u, v) + sigma_vec(v, u) + 2 * h_uv * ident).any():
+            raise ExtensionRejected((0, 0, 0), "polarized symmetry identity fails")
+        lhs = linalg.imatmul(sigma_vec(v, u), sigma_vec(u, w)) + h_uu * sigma_vec(v, w)
+        if lhs.any():
+            raise ExtensionRejected((0, 0, 0), "polarized composition identity fails")
 
     return EvenAlgebraMorphism(k, n, sigma)
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -221,3 +224,20 @@ class TestTables:
     def test_payload_is_deterministic(self):
         assert tables_payload() == tables_payload()
         assert tables_json() == tables_json()
+
+
+def test_table2_recheck_survives_python_O():
+    # the verdict re-checks are raised errors, not asserts that -O strips
+    code = (
+        "import clifflab.classify as c\n"
+        "c._CASE1_CENTRALIZER = {5: 4, 6: 1, 7: 0, 8: 0}\n"
+        "try:\n"
+        "    c.table2_rows()\n"
+        "except AssertionError as err:\n"
+        "    print('raised', err)\n"
+    )
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("raised rank 5")

@@ -77,6 +77,61 @@ class TestVerify:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entry", [1.5, 2**63, True], ids=["float", "at least 2^63", "bool"]
+    )
+    def test_non_int64_entry_is_input_error(self, tmp_path, entry):
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps({"n": 2, "r": 2, "J": [{"i": 1, "j": 2, "matrix": [0, entry, -1, 0]}]}))
+        assert run_cli("verify", "--structure", str(path), "--suite", "relations") == 2
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"n": 2, "r": 2, "J": [{"i": 1, "j": 2, "matrix": [0, 1, -1]}]},
+            {"n": 2, "r": 2, "J": 5},
+            [1, 2],
+        ],
+        ids=["wrong entry count", "J not a list", "not an object"],
+    )
+    def test_malformed_family_is_input_error(self, tmp_path, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert run_cli("verify", "--structure", str(path)) == 2
+
+    @pytest.mark.parametrize("edit", ["float generator entry", "rank without its generators"])
+    def test_malformed_repgen_is_input_error(self, tmp_path, edit):
+        rep_path = tmp_path / "rep.json"
+        run_cli("repgen", "--rank", "3", "--kind", "even", "--out", str(rep_path))
+        data = json.loads(rep_path.read_text())
+        if edit == "float generator entry":
+            data["generators"][0][1] = 0.5
+        else:
+            data["rank"] = 5
+        rep_path.write_text(json.dumps(data))
+        assert run_cli("verify", "--structure", str(rep_path)) == 2
+
+    def test_int64_max_entry_fails_exactly(self, tmp_path):
+        w = 2**63 - 1
+        path = tmp_path / "wrap.json"
+        path.write_text(json.dumps({"n": 2, "r": 2, "J": [{"i": 1, "j": 2, "matrix": [0, w, -w, 0]}]}))
+        report_path = tmp_path / "report.json"
+        code = run_cli("verify", "--structure", str(path), "--suite", "relations", "--report", str(report_path))
+        assert code == 1
+        failures = json.loads(report_path.read_text())["suites"][0]["failures"]
+        assert failures == [{"identity": "unit_square", "indices": [1, 2], "residual": str(w * w - 1)}]
+
+    @pytest.mark.parametrize("r", [3, 7])
+    def test_explicit_family_passes_all_suites(self, tmp_path, r):
+        fam = j_family(build_even_rep(r))
+        rows = [{"i": i, "j": j, "matrix": m.reshape(-1).tolist()} for (i, j), m in fam.mats.items()]
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"n": fam.n, "r": r, "J": rows}))
+        report_path = tmp_path / "report.json"
+        assert run_cli("verify", "--structure", str(path), "--suite", "all", "--report", str(report_path)) == 0
+        hodge = [s for s in json.loads(report_path.read_text())["suites"] if s["suite"] == "hodge"]
+        assert hodge[0]["data"] == {"extension_rank": r}
+
     def test_hodge_suite_reports_rejection_for_rank5(self, tmp_path):
         rep_path = tmp_path / "rep.json"
         run_cli("repgen", "--rank", "5", "--kind", "even", "--out", str(rep_path))

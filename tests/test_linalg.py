@@ -3,33 +3,79 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clifflab import linalg
 
 
+# -- Fraction Gaussian elimination: the oracle for the integer routines -----
+
+
+def oracle_rref(a):
+    m = [[Fraction(x) for x in row] for row in a]
+    n_rows, n_cols = len(m), len(m[0])
+    pivots, r = [], 0
+    for c in range(n_cols):
+        pivot_row = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(n_rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return m, pivots
+
+
+def oracle_nullspace(a):
+    red, pivots = oracle_rref(a)
+    n_cols = len(a[0])
+    basis = []
+    for fc in (c for c in range(n_cols) if c not in pivots):
+        v = [Fraction(0)] * n_cols
+        v[fc] = Fraction(1)
+        for r_i, pc in enumerate(pivots):
+            v[pc] = -red[r_i][fc]
+        basis.append(v)
+    return basis
+
+
+def oracle_inverse(a):
+    n = len(a)
+    red, pivots = oracle_rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)])
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in red]
+
+
+def as_fractions(num, den=1):
+    return [[Fraction(int(x), den) for x in row] for row in np.atleast_2d(num)]
+
+
+# -- examples ----------------------------------------------------------------
+
+
 def test_rref_identity():
-    a = linalg.to_fractions([[1, 0], [0, 1]])
-    red, pivots = linalg.rref(a)
+    num, den, pivots = linalg.rref(np.eye(2, dtype=np.int64))
     assert pivots == [0, 1]
-    assert red == a
+    assert np.array_equal(num, den * linalg.eye(2))
 
 
 def test_rank_and_nullspace():
-    a = linalg.to_fractions([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+    a = linalg.intmat([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     assert linalg.rank(a) == 2
     basis = linalg.nullspace(a)
-    assert len(basis) == 1
-    v = basis[0]
-    for row in a:
-        assert sum(x * y for x, y in zip(row, v)) == 0
-
-
-def test_solve_consistent_and_inconsistent():
-    a = linalg.to_fractions([[2, 0], [0, 4]])
-    x = linalg.solve(a, [Fraction(1), Fraction(2)])
-    assert x == [Fraction(1, 2), Fraction(1, 2)]
-    bad = linalg.to_fractions([[1, 1], [1, 1]])
-    assert linalg.solve(bad, [Fraction(0), Fraction(1)]) is None
+    assert basis.shape == (1, 3)
+    assert not linalg.imatmul(a, basis.T).any()
+    # primitive, with a positive entry in the free column
+    assert basis.tolist() == [[-1, -1, 1]]
 
 
 def test_inverse_round_trip():
@@ -37,17 +83,17 @@ def test_inverse_round_trip():
     for _ in range(10):
         n = rng.randint(1, 6)
         while True:
-            a = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
+            a = linalg.intmat([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
             if linalg.rank(a) == n:
                 break
-        inv = linalg.inverse(a)
-        prod = linalg.frac_matmul(a, inv)
-        assert prod == linalg.to_fractions(np.eye(n, dtype=np.int64))
+        num, den = linalg.inverse(a)
+        assert den > 0
+        assert np.array_equal(linalg.imatmul(a, num), den * linalg.eye(n))
 
 
 def test_inverse_singular_raises():
     with pytest.raises(ValueError):
-        linalg.inverse([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
+        linalg.inverse(linalg.intmat([[1, 1], [1, 1]]))
 
 
 def test_rank_mod_p_matches_rational_rank_on_small_ints():
@@ -67,3 +113,82 @@ def test_signed_permutation_predicate():
 def test_trace_product():
     a = np.array([[0, -1], [1, 0]], dtype=np.int64)
     assert linalg.trace_product(a, a) == -2
+
+
+# -- the certificate ladder ----------------------------------------------------
+
+
+def test_imatmul_never_wraps():
+    w = 2**63 - 1
+    a = linalg.as_integer([[0, w], [-w, 0]])
+    assert a.dtype == object
+    assert linalg.imatmul(a, a).tolist() == [[-(w * w), 0], [0, -(w * w)]]
+    # above the float64 certificate but inside int64: entries near 2^40
+    b = linalg.intmat([[2**40 + 1, 3], [5, 2**40 - 7]])
+    want = [[sum(int(b[i, k]) * int(b[k, j]) for k in range(2)) for j in range(2)] for i in range(2)]
+    got = linalg.imatmul(b, b)
+    assert got.tolist() == want
+
+
+def test_trace_products_never_wrap():
+    big = linalg.as_integer([[2**40, 0], [0, 2**40]])
+    assert linalg.trace_product(big, big) == 2 * 2**80
+
+
+def test_parse_int_matrix_is_strict():
+    assert linalg.parse_int_matrix([0, 1, -1, 0], 2).dtype == np.int64
+    assert linalg.parse_int_matrix([0, 2**63 - 1, 0, 0], 2).dtype == object
+    for bad in ([0, 1.5, -1, 0], [0, True, -1, 0], [0, 2**63, 0, 0], [0, 1, -1], "0110"):
+        with pytest.raises(ValueError):
+            linalg.parse_int_matrix(bad, 2)
+
+
+def test_rational_combination_and_boundary():
+    one = linalg.eye(2)
+    num, den = linalg.rational_combination([(Fraction(1, 2), one), (Fraction(1, 3), one)], 2)
+    assert (num.tolist(), den) == ([[5, 0], [0, 5]], 6)
+    assert linalg.fraction_array(num, den).tolist() == [[Fraction(5, 6), 0], [0, Fraction(5, 6)]]
+    num, den = linalg.rational_combination([(Fraction(1, 2), one), (Fraction(1, 2), one)], 2)
+    assert (num.tolist(), den) == ([[1, 0], [0, 1]], 1)
+
+
+# -- property: integer elimination agrees with Fraction elimination ------------
+
+
+small_matrices = st.integers(1, 6).flatmap(
+    lambda rows: st.integers(1, 6).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.integers(-9, 9), min_size=cols, max_size=cols),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices, st.sampled_from([1, 2**20, 2**40]))
+def test_elimination_matches_fraction_oracle(rows, scale):
+    a = linalg.as_integer(np.array(rows, dtype=object) * scale)
+    red, pivots = oracle_rref(a.tolist())
+    num, den, got_pivots = linalg.rref(a)
+    assert got_pivots == pivots
+    assert as_fractions(num, den) == red
+    assert linalg.rank(a) == len(pivots)
+
+    basis = linalg.nullspace(a)
+    want = oracle_nullspace(a.tolist())
+    assert len(basis) == len(want)
+    for v, w in zip(basis, want):
+        # the same ray, scaled to coprime integers
+        free = next(c for c in range(len(w)) if c not in pivots and w[c] == 1)
+        assert [Fraction(int(x), int(v[free])) for x in v] == w
+
+    if a.shape[0] == a.shape[1]:
+        want_inv = oracle_inverse(a.tolist())
+        if want_inv is None:
+            with pytest.raises(ValueError):
+                linalg.inverse(a)
+        else:
+            inv_num, inv_den = linalg.inverse(a)
+            assert as_fractions(inv_num, inv_den) == want_inv

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from clifflab import linalg
-from clifflab.blades import AlgebraSignature, CliffordElement
+from clifflab.blades import AlgebraSignature, CliffordElement, hodge_dual_element
 from clifflab.reps import (
     UnsupportedRankError,
     build_clifford_rep,
@@ -71,6 +71,43 @@ class TestVerifyRelations:
         del mats[(2, 3)]
         with pytest.raises(StructureError):
             EvenCliffordStructure.from_matrices(4, 3, mats)
+
+    @pytest.mark.parametrize("r", range(2, 10))
+    def test_doubled_matrix_fails_unit_square_with_residual_3(self, r):
+        # no longer a signed permutation, so the dense path judges it:
+        # (2J)^2 + 1 = -3
+        fam = j_family(build_even_rep(r))
+        mats = dict(fam.mats)
+        key = fam.pairs()[-1]
+        mats[key] = 2 * mats[key]
+        report = verify_relations(EvenCliffordStructure.from_matrices(fam.n, r, mats))
+        assert not report.passed
+        assert ("unit_square", key, "3") in [(f.identity, f.indices, f.residual) for f in report.failures]
+
+    def test_entries_near_2_40_are_judged_exactly(self):
+        # float64 loses these products and int64 wraps them
+        fam = j_family(build_even_rep(3))
+        big = 2**40
+        scaled = {p: big * m for p, m in fam.mats.items()}
+        report = verify_relations(EvenCliffordStructure.from_matrices(4, 3, scaled))
+        squares = {f.indices: f.residual for f in report.failures if f.identity == "unit_square"}
+        assert squares == {p: str(big * big - 1) for p in fam.pairs()}
+        # a valid family conjugated by the unipotent I + N E_01 keeps every
+        # composition identity and loses only skewness
+        n = 2**20
+        p = linalg.eye(4)
+        p[0, 1] = n
+        p_inv = linalg.eye(4)
+        p_inv[0, 1] = -n
+        conj = {k: p @ m @ p_inv for k, m in fam.mats.items()}
+        assert max(int(abs(m).max()) for m in conj.values()) >= 2**40
+        report = verify_relations(EvenCliffordStructure.from_matrices(4, 3, conj))
+        assert {f.identity for f in report.failures} == {"skew_symmetry"}
+
+    def test_non_integer_matrix_rejected(self):
+        fam = j_family(build_even_rep(2))
+        with pytest.raises(StructureError):
+            EvenCliffordStructure.from_matrices(2, 2, {(1, 2): fam.mats[(1, 2)] / 2})
 
 
 class TestVerifyOrthogonality:
@@ -154,7 +191,7 @@ class TestSplitRank4:
         assert np.array_equal(j_m @ k_m, i_m)
         # span of {id, i, j, k} is 4-dimensional: the regular quaternion algebra
         rows = [ident.reshape(-1), i_m.reshape(-1), j_m.reshape(-1), k_m.reshape(-1)]
-        assert linalg.rank(linalg.to_fractions(np.array(rows))) == 4
+        assert linalg.rank(np.array(rows)) == 4
 
     def test_pure_plus_block_kills_plus_family(self):
         s = EvenCliffordStructure.from_rep(build_even_rep(4, 1, 0))
@@ -210,6 +247,18 @@ class TestExtendHodge:
                 vol = vol @ k
             for k in ks:
                 assert np.array_equal(vol @ k, k @ vol)
+
+    @pytest.mark.parametrize("r", [3, 7, 11])
+    def test_explicit_family_extends_like_the_representation(self, r):
+        backed = structure_for(r)
+        explicit = EvenCliffordStructure.from_matrices(backed.n, r, backed.family.mats)
+        assert explicit.rep is None
+        for k_explicit, k_backed in zip(extend_hodge(explicit), extend_hodge(backed)):
+            assert np.array_equal(k_explicit, k_backed)
+        # and both agree with the image of the Hodge dual under the representation
+        sig = AlgebraSignature(r)
+        for i, k in enumerate(extend_hodge(explicit), start=1):
+            assert np.array_equal(k, evaluate(backed.rep, hodge_dual_element(i, sig)))
 
     @pytest.mark.parametrize("r", [5, 6])
     def test_other_ranks_rejected(self, r):
