@@ -26,6 +26,7 @@ from .curvature import (
     quaternionic_op,
     verify_cc_normalization,
     verify_parallel_identities,
+    verify_spectrum,
 )
 from .reps import (
     JFamily,
@@ -45,8 +46,10 @@ from .structure import (
     extend_hodge,
     split_rank4,
     universal_extension,
+    verify_hodge,
     verify_orthogonality,
     verify_relations,
+    verify_universality,
     volume_endomorphism,
 )
 

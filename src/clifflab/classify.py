@@ -33,6 +33,9 @@ class ScanBounds:
 
 BOUNDS = ScanBounds()
 
+# the version of the table JSON, apart from the verification report schema
+TABLE_SCHEMA = 1
+
 
 def scal_formula(n, r):
     """Scalar curvature forced by curvature constancy: 2n(n/4 + 2r - 4),
@@ -620,7 +623,7 @@ def table3_rows() -> list[dict]:
 
 def tables_payload() -> dict:
     return {
-        "schema": 1,
+        "schema": TABLE_SCHEMA,
         "table1": table1_rows(),
         "table2": table2_rows(),
         "table3": table3_rows(),

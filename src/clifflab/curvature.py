@@ -19,7 +19,7 @@ denominator; every check is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -291,6 +291,16 @@ def lambda2_spectrum(
     return out
 
 
+def verify_spectrum(op: CurvatureOperator, candidates: Sequence[Fraction | int]) -> VerificationReport:
+    """``lambda2_spectrum`` as a check: an incomplete spectrum is a failure."""
+    try:
+        spec = lambda2_spectrum(op, candidates)
+    except CurvatureError as err:
+        return VerificationReport("spectrum", [Failure("spectrum_complete", (), str(err))])
+    eigenvalues = [{"value": str(lam), "multiplicity": mult} for lam, mult in spec]
+    return VerificationReport("spectrum", data={"eigenvalues": eigenvalues})
+
+
 # -- identity suites -------------------------------------------------------------
 
 
@@ -396,7 +406,7 @@ def verify_parallel_identities(
                 )
             )
 
-    return VerificationReport("parallel_identities", not failures, failures)
+    return VerificationReport("parallel_identities", failures)
 
 
 def verify_cc_normalization(op: CurvatureOperator, s: EvenCliffordStructure) -> VerificationReport:
@@ -424,7 +434,7 @@ def verify_cc_normalization(op: CurvatureOperator, s: EvenCliffordStructure) -> 
                     t = 2 * linalg.trace_product(s.j(i, j), s.j(k, l))
                     if t != 0:
                         failures.append(Failure("form_orthogonality", (i, j, k, l), str(t)))
-    return VerificationReport("cc_normalization", not failures, failures, data)
+    return VerificationReport("cc_normalization", failures, data)
 
 
 # -- centralizers -----------------------------------------------------------------
@@ -464,7 +474,6 @@ class ModelSpace:
     expected_ricci: Fraction
     expected_scal: Fraction
     spectrum_candidates: list[Fraction]
-    extras: dict = field(default_factory=dict)
 
 
 def _calibrate(build: Callable[[Fraction], CurvatureOperator], target_scal: Fraction) -> tuple[CurvatureOperator, Fraction]:
@@ -512,7 +521,6 @@ def build_model(name: str) -> ModelSpace:
             cc_ricci(8, 6),
             cc_scal(8, 6),
             [Fraction(0), c / 2, 5 * c / 2],
-            {"kahler": kahler},
         )
     if name == "hp2":
         s = EvenCliffordStructure.from_rep(build_even_rep(5))
@@ -530,7 +538,6 @@ def build_model(name: str) -> ModelSpace:
             cc_ricci(8, 5),
             cc_scal(8, 5),
             [Fraction(0), c, 2 * c],
-            {"triple": triple},
         )
     if name == "op2":
         s = EvenCliffordStructure.from_rep(build_even_rep(9))

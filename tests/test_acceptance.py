@@ -45,7 +45,6 @@ from clifflab.structure import (
     EvenCliffordStructure,
     ExtensionRejected,
     extend_hodge,
-    lambda2_restriction,
     split_rank4,
     universal_extension,
     verify_orthogonality,
@@ -133,7 +132,7 @@ def test_criterion_05_universality():
     t0 = time.perf_counter()
     for r in (2, 3, 5, 6, 7, 8):
         rep = build_even_rep(r, 1, 1) if r % 4 == 0 else build_even_rep(r)
-        ext = universal_extension(lambda2_restriction(rep), r, rep.dim, random_checks=16)
+        ext = universal_extension(j_family(rep).mats, r, rep.dim)
         sig = AlgebraSignature(r)
         for mask in range(1 << r):
             if bin(mask).count("1") % 2:
@@ -141,7 +140,7 @@ def test_criterion_05_universality():
             indices = tuple(i + 1 for i in range(r) if mask >> i & 1)
             elem = CliffordElement.blade(sig, indices)
             assert np.array_equal(ext(elem), evaluate(rep, elem)), indices
-    scaled = dict(lambda2_restriction(build_even_rep(3)))
+    scaled = dict(j_family(build_even_rep(3)).mats)
     scaled[(1, 2)] = 2 * scaled[(1, 2)]
     with pytest.raises(ExtensionRejected) as err:
         universal_extension(scaled, 3, 4)
@@ -272,6 +271,6 @@ def test_criterion_12_determinism_and_total_runtime(tmp_path):
     assert cli_main(["verify-all", "--seed", "0", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     report = json.loads(a.read_text())
-    assert report["passed"] and report["schema"] == 1
+    assert report["passed"] and report["schema"] == 2
     elapsed = time.perf_counter() - t0
     _report(12, "verify-all twice, byte-identical reports", elapsed, 300.0)

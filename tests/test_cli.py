@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
+from clifflab import cli, structure
 from clifflab.cli import main
 from clifflab.reps import MatrixRep, build_even_rep, j_family
+from clifflab.structure import StructureError, extend_hodge
 
 
 def run_cli(*argv):
@@ -179,6 +181,22 @@ class TestClassify:
     def test_table_or_candidate_required(self):
         assert run_cli("classify") == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["case1"], "case1 needs --n"),
+            (["case3", "--p", "4"], "case3 needs --q"),
+            (["case8"], "case8 needs --group"),
+            (["case9"], "case9 needs --subcase"),
+            (["case9", "--subcase", "so"], "case9 needs --n"),
+            (["caseX"], "invalid choice: 'caseX'"),
+            (["case8", "--group", "G2"], "invalid choice: 'G2'"),
+        ],
+    )
+    def test_candidate_names_its_missing_or_bad_input(self, capsys, argv, message):
+        assert run_cli("classify", "--candidate", *argv) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestEmitTables:
     def test_writes_four_files_byte_stable(self, tmp_path):
@@ -207,16 +225,29 @@ class TestEmitTables:
             ro.chmod(stat.S_IRWXU)
 
 
+@pytest.fixture(scope="module")
+def verify_all_report(tmp_path_factory):
+    path = tmp_path_factory.mktemp("verify_all") / "report.json"
+    assert run_cli("verify-all", "--seed", "0", "--out", str(path)) == 0
+    return path.read_bytes()
+
+
 class TestVerifyAll:
-    def test_passes_and_is_deterministic(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert run_cli("verify-all", "--seed", "0", "--out", str(a)) == 0
-        assert run_cli("verify-all", "--seed", "0", "--out", str(b)) == 0
-        assert a.read_bytes() == b.read_bytes()
-        report = json.loads(a.read_text())
+    def test_passes_and_is_deterministic(self, verify_all_report, tmp_path):
+        # the second run is a fresh interpreter under -O, so no check of the
+        # registry may live in an assert
+        again = tmp_path / "again.json"
+        result = subprocess.run(
+            [sys.executable, "-O", "-m", "clifflab.cli", "verify-all", "--seed", "0", "--out", str(again)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert again.read_bytes() == verify_all_report
+        report = json.loads(verify_all_report)
         assert report["passed"]
         assert report["timing"] is None
-        assert {s["name"] for s in report["suites"]} == {
+        assert [s["suite"] for s in report["suites"]] == [
             "dimension_tables",
             "relation_sweep",
             "rank4_split",
@@ -226,10 +257,56 @@ class TestVerifyAll:
             "curvature_models",
             "centralizers",
             "classification",
-        }
+        ]
+
+    def test_failing_sub_check_is_reported_with_its_context(self, monkeypatch, tmp_path):
+        def broken(s):
+            if s.r == 7:
+                raise StructureError("extension fails anticommutation at (1, 2)")
+            return extend_hodge(s)
+
+        monkeypatch.setattr(structure, "extend_hodge", broken)
+        # two suites keep the run short; the loop is the one verify-all runs
+        monkeypatch.setattr(
+            cli, "VERIFY_ALL_SUITES", {k: cli.VERIFY_ALL_SUITES[k] for k in ("dimension_tables", "hodge_extension")}
+        )
+        out = tmp_path / "report.json"
+        assert run_cli("verify-all", "--out", str(out)) == 1
+        report = json.loads(out.read_text())
+        assert not report["passed"]
+        dims, hodge = report["suites"]
+        assert dims["passed"]
+        assert hodge["passed"] is False
+        assert hodge["failures"] == [
+            {
+                "identity": "r=7/hodge_extension",
+                "indices": [],
+                "residual": "extension fails anticommutation at (1, 2)",
+            }
+        ]
+        assert hodge["data"] == {"rejected_ranks": [5, 6]}
 
     def test_exit_code_and_usage(self):
         assert run_cli("no-such-command") == 2
+
+
+def test_every_suite_has_one_shape(tmp_path, capsys, verify_all_report):
+    rep_path = tmp_path / "rep.json"
+    run_cli("repgen", "--rank", "5", "--kind", "even", "--out", str(rep_path))
+    reports = [json.loads(verify_all_report)]
+    for argv in (
+        ["verify", "--structure", str(rep_path), "--suite", "all"],
+        *(["curvature", "--model", m, "--check", "all"] for m in ("s8", "cp4", "hp2", "op2")),
+    ):
+        run_cli(*argv)
+        reports.append(json.loads(capsys.readouterr().out))
+    for report in reports:
+        assert report["schema"] == 2
+        assert report["suites"]
+        for suite in report["suites"]:
+            assert set(suite) == {"suite", "passed", "failures", "data"}
+            assert suite["passed"] == (suite["failures"] == [])
+        assert report["passed"] == all(s["passed"] for s in report["suites"])
 
 
 class TestSubprocessEntry:

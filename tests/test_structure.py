@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clifflab import linalg
 from clifflab.blades import AlgebraSignature, CliffordElement, hodge_dual_element
@@ -19,11 +21,12 @@ from clifflab.structure import (
     StructureError,
     VolumeError,
     extend_hodge,
-    lambda2_restriction,
     split_rank4,
     universal_extension,
+    verify_hodge,
     verify_orthogonality,
     verify_relations,
+    verify_universality,
     volume_endomorphism,
 )
 
@@ -270,8 +273,7 @@ class TestUniversalExtension:
     @pytest.mark.parametrize("r", list(range(2, 10)))
     def test_round_trip_on_even_blades(self, r):
         rep = build_even_rep(r, 1, 1) if r % 4 == 0 else build_even_rep(r)
-        phi = lambda2_restriction(rep)
-        ext = universal_extension(phi, r, rep.dim, random_checks=16)
+        ext = universal_extension(j_family(rep).mats, r, rep.dim)
         sig = AlgebraSignature(r)
         for mask in range(1 << r):
             if bin(mask).count("1") % 2:
@@ -282,7 +284,7 @@ class TestUniversalExtension:
 
     def test_scaled_map_rejected_with_witness(self):
         rep = build_even_rep(3)
-        phi = dict(lambda2_restriction(rep))
+        phi = dict(j_family(rep).mats)
         phi[(1, 2)] = 2 * phi[(1, 2)]
         with pytest.raises(ExtensionRejected) as err:
             universal_extension(phi, 3, rep.dim)
@@ -309,7 +311,7 @@ class TestUniversalExtension:
         checked = 0
         for r in (3, 5, 6, 7):
             rep = build_even_rep(r)
-            ext = universal_extension(lambda2_restriction(rep), r, rep.dim)
+            ext = universal_extension(j_family(rep).mats, r, rep.dim)
             sig = AlgebraSignature(r)
             for _ in range(50):
                 a = _rand_even(rng, sig)
@@ -334,3 +336,120 @@ def _to_obj(m):
     if m.dtype == object:
         return m
     return np.array([[Fraction(int(x)) for x in row] for row in m], dtype=object)
+
+
+class TestChecks:
+    def test_hodge_check_extends_fails_or_skips(self):
+        assert verify_hodge(structure_for(7)).to_dict() == {
+            "suite": "hodge",
+            "passed": True,
+            "failures": [],
+            "data": {"extension_rank": 7},
+        }
+        refused = verify_hodge(structure_for(5))
+        assert not refused.passed
+        assert [f.identity for f in refused.failures] == ["hodge_extension"]
+        skipped = verify_hodge(structure_for(5), skip_other_ranks=True)
+        assert skipped.passed and "skipped" in skipped.data
+
+    def test_universality_check_names_the_blade_that_disagrees(self):
+        # the family of one volume block against the representation of the
+        # other: the criterion accepts, the volume blade disagrees
+        s = structure_for(4, 1, 1)
+        s.rep = build_even_rep(4, 2, 0)
+        report = verify_universality(s)
+        assert not report.passed
+        assert ("blade_round_trip", (1, 2, 3, 4)) in [(f.identity, f.indices) for f in report.failures]
+
+    def test_universality_check_reports_the_rejection_witness(self):
+        mats = dict(j_family(build_even_rep(3)).mats)
+        mats[(1, 2)] = 2 * mats[(1, 2)]
+        report = verify_universality(EvenCliffordStructure.from_matrices(4, 3, mats))
+        assert [(f.identity, f.indices) for f in report.failures] == [("extension_criterion", (1, 2, 2))]
+
+
+def _relation_oracle(n, r, mats):
+    """(identity, indices) of every violated relation, judged on Python ints."""
+    m = {key: mat.astype(object) for key, mat in mats.items()}
+
+    def j(a, b):
+        return m[(a, b)] if a < b else -m[(b, a)]
+
+    minus_one = -np.eye(n, dtype=int).astype(object)
+    pairs = sorted(m)
+    out = set()
+    for key in pairs:
+        if (m[key] + m[key].T).any():
+            out.add(("skew_symmetry", key))
+        if not np.array_equal(m[key].dot(m[key]), minus_one):
+            out.add(("unit_square", key))
+    for i in range(1, r + 1):
+        for a in range(1, r + 1):
+            for b in range(1, r + 1):
+                if len({i, a, b}) == 3 and not np.array_equal(j(i, a).dot(j(i, b)), j(a, b)):
+                    out.add(("shared_index_composition", (i, a, b)))
+    for x in pairs:
+        for y in pairs:
+            if x < y and len(set(x + y)) == 4 and not np.array_equal(m[x].dot(m[y]), m[y].dot(m[x])):
+                out.add(("disjoint_commutation", x + y))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_relation_verdicts_match_python_int_oracle(data):
+    r = data.draw(st.integers(2, 8), label="r")
+    fam = j_family(build_even_rep(r))
+    n = fam.n
+    q = np.zeros((n, n), dtype=np.int64)
+    q[data.draw(st.permutations(range(n))), range(n)] = data.draw(
+        st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)
+    )
+    mats = {key: q @ m @ q.T for key, m in fam.mats.items()}
+    s = EvenCliffordStructure.from_matrices(n, r, mats)
+    assert verify_relations(s).passed and verify_orthogonality(s).passed
+    assert _relation_oracle(n, r, mats) == set()
+
+    key = data.draw(st.sampled_from(sorted(mats)), label="pair")
+    a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    mats[key] = mats[key].copy()
+    mats[key][a, b] += data.draw(st.integers(-3, 3).filter(bool), label="delta")
+    report = verify_relations(EvenCliffordStructure.from_matrices(n, r, mats))
+    assert report.to_dict()["passed"] is False
+    got = {(f.identity, f.indices) for f in report.failures}
+    assert ("skew_symmetry", key) in got
+    assert got == _relation_oracle(n, r, mats)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_accepted_maps_satisfy_the_polarized_identities(data):
+    # generator sign flips keep a valid family; one more flipped or doubled
+    # pair is usually rejected, but whatever the criterion accepts must satisfy
+    #   sigma(u,v) + sigma(v,u) = -2<u,v> id,
+    #   sigma(v,u) sigma(u,w) = -<u,u> sigma(v,w)
+    # on arbitrary integer vectors
+    r = data.draw(st.integers(2, 7), label="r")
+    fam = j_family(build_even_rep(r))
+    n = fam.n
+    signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=r, max_size=r))
+    phi = {(i, j): signs[i - 1] * signs[j - 1] * m for (i, j), m in fam.mats.items()}
+    factor = data.draw(st.sampled_from([1, -1, 2]), label="factor on one pair")
+    key = data.draw(st.sampled_from(sorted(phi)))
+    phi[key] = factor * phi[key]
+    try:
+        universal_extension(phi, r, n)
+    except ExtensionRejected:
+        return
+    ident = linalg.eye(n)
+
+    def sigma(u, v):
+        out = -int(np.dot(u, v)) * ident
+        for (i, j), m in phi.items():
+            out = out + (u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]) * m
+        return out
+
+    vec = st.lists(st.integers(-6, 6), min_size=r, max_size=r)
+    u, v, w = data.draw(vec), data.draw(vec), data.draw(vec)
+    assert not (sigma(u, v) + sigma(v, u) + 2 * int(np.dot(u, v)) * ident).any()
+    assert not (sigma(v, u) @ sigma(u, w) + int(np.dot(u, u)) * sigma(v, w)).any()
