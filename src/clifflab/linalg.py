@@ -50,12 +50,46 @@ def is_orthogonal(a: np.ndarray) -> bool:
     return np.array_equal(imatmul(a.T, a), eye(a.shape[0]))
 
 
+def signed_perm_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Column form of a signed permutation, a e_j = sign[j] e_{perm[j]};
+    None when ``a`` is not a square int64 signed permutation.
+
+    An O(n^2) certificate: n nonzero entries, the first nonzero of each
+    column is +-1 (so no column is empty and none holds a second entry),
+    and perm is a bijection.  No entry is negated, so nothing can wrap.
+    """
+    a = np.asarray(a)
+    if a.dtype != np.int64 or a.ndim != 2 or a.shape[0] != a.shape[1]:
+        return None
+    n = a.shape[0]
+    if np.count_nonzero(a) != n:
+        return None
+    perm = (a != 0).argmax(axis=0)
+    sign = a[perm, np.arange(n)]
+    if np.count_nonzero((sign == 1) | (sign == -1)) != n:
+        return None
+    hit = np.zeros(n, dtype=bool)
+    hit[perm] = True
+    return (perm, sign) if np.count_nonzero(hit) == n else None
+
+
+def signed_perm_matrix(perm: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """The dense int64 matrix of a column form; inverse of signed_perm_columns."""
+    n = perm.shape[0]
+    out = zeros(n)
+    out[perm, np.arange(n)] = sign
+    return out
+
+
+def compose_columns(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Column form of the product A B of two column forms."""
+    (pa, sa), (pb, sb) = a, b
+    return pa[pb], sb * sa[pb]
+
+
 def is_signed_permutation(a: np.ndarray) -> bool:
     """Exactly one entry of modulus 1 per row and per column, rest zero."""
-    absa = np.abs(a)
-    if not set(np.unique(absa)) <= {0, 1}:
-        return False
-    return bool((absa.sum(axis=0) == 1).all() and (absa.sum(axis=1) == 1).all())
+    return signed_perm_columns(a) is not None
 
 
 def max_abs(a: np.ndarray) -> int:

@@ -128,7 +128,7 @@ def _generators_with_volume_sign(r: int, sign: int) -> list[np.ndarray]:
     if r % 4 != 3:
         raise RepresentationError(f"rank {r}: the volume is a central involution only for r = 3 mod 4")
     gens = _base_generators(r)
-    vol = reduce(np.matmul, gens)
+    (vol,) = _products(gens, [range(len(gens))])
     n = gens[0].shape[0]
     if np.array_equal(vol, sign * linalg.eye(n)):
         return gens
@@ -368,19 +368,36 @@ class JFamily:
         return linalg.rank(np.stack([linalg.skew_to_coords(self.mats[p]) for p in self.pairs()]))
 
 
+def _products(gens, words) -> list[np.ndarray]:
+    """Exact products gens[w0] gens[w1] ... of nonempty index words.
+
+    Signed-permutation factors compose in column form, O(n) per factor, and
+    are scattered into one dense int64 matrix; a word with any other factor
+    is multiplied through ``linalg.imatmul``.
+    """
+    cols = [linalg.signed_perm_columns(g) for g in gens] if words else []
+    out = []
+    for word in words:
+        if all(cols[w] is not None for w in word):
+            out.append(linalg.signed_perm_matrix(*reduce(linalg.compose_columns, (cols[w] for w in word))))
+        else:
+            out.append(reduce(linalg.imatmul, (gens[w] for w in word)))
+    return out
+
+
 def j_family(rep: MatrixRep) -> JFamily:
     r = rep.rank
+    gens = rep.generators
     mats = {}
     if rep.kind == "full":
-        for i in range(1, r + 1):
-            for j in range(i + 1, r + 1):
-                mats[(i, j)] = linalg.imatmul(rep.generators[i - 1], rep.generators[j - 1])
+        keys = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
+        words = [(i - 1, j - 1) for i, j in keys]
     else:
         for j in range(2, r + 1):
-            mats[(1, j)] = rep.generators[j - 2]
-        for i in range(2, r + 1):
-            for j in range(i + 1, r + 1):
-                mats[(i, j)] = linalg.imatmul(rep.generators[i - 2], rep.generators[j - 2])
+            mats[(1, j)] = gens[j - 2]
+        keys = [(i, j) for i in range(2, r + 1) for j in range(i + 1, r + 1)]
+        words = [(i - 2, j - 2) for i, j in keys]
+    mats.update(zip(keys, _products(gens, words)))
     return JFamily(rep.dim, r, mats)
 
 

@@ -155,18 +155,19 @@ class EvenCliffordStructure:
             raise StructureError("a structure file holds one JSON object")
         if "generators" in data:
             return cls.from_rep(MatrixRep.from_json(text))
-        n, r = data["n"], data["r"]
+        n, r, entries = (_field(data, key, "the family") for key in ("n", "r", "J"))
         if not (_is_int(n) and _is_int(r) and n >= 1):
             raise StructureError("n and r must be integers, n >= 1")
-        if not (isinstance(data["J"], list) and all(isinstance(t, dict) for t in data["J"])):
+        if not (isinstance(entries, list) and all(isinstance(t, dict) for t in entries)):
             raise StructureError("J must be a list of objects")
         mats = {}
-        for t in data["J"]:
-            key = (t["i"], t["j"])
+        for at, t in enumerate(entries):
+            key = (_field(t, "i", f"J entry {at}"), _field(t, "j", f"J entry {at}"))
             if not all(_is_int(x) for x in key):
                 raise StructureError(f"family keys must be integers, got {key}")
+            flat = _field(t, "matrix", f"J entry {at}")
             try:
-                mats[key] = linalg.parse_int_matrix(t["matrix"], n)
+                mats[key] = linalg.parse_int_matrix(flat, n)
             except ValueError as err:
                 raise StructureError(f"J_{key[0]}{key[1]}: {err}") from None
         return cls.from_matrices(n, r, mats)
@@ -176,11 +177,20 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _field(obj: dict, key: str, where: str):
+    """obj[key], or a StructureError naming the missing field and where."""
+    if key not in obj:
+        raise StructureError(f"{where} has no field {key!r}")
+    return obj[key]
+
+
 def verify_relations(s: EvenCliffordStructure) -> VerificationReport:
     """Exact check of the Clifford relations of the family.
 
-    Signed-permutation families compose in O(n) per check; every other
-    family runs through batched products certified by ``linalg.imatmul``.
+    Signed-permutation families are checked on their column forms, with
+    batched gathers; every other family runs through batched products
+    certified by ``linalg.imatmul``.  Both report the same failures in the
+    same order.
     """
     failures = _verify_relations_signed_perm(s)
     if failures is None:
@@ -188,76 +198,119 @@ def verify_relations(s: EvenCliffordStructure) -> VerificationReport:
     return VerificationReport("relations", failures)
 
 
-def _signed_perm_parts(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Column form of a signed permutation: m e_j = s[j] e_{p[j]}."""
-    if m.dtype != np.int64 or not linalg.is_signed_permutation(m):
-        return None
-    p = np.abs(m).argmax(axis=0)
-    s = m[p, np.arange(m.shape[0])]
-    return p, s
+def _family_columns(s: EvenCliffordStructure) -> tuple[np.ndarray, np.ndarray] | None:
+    """Column forms of the J_ij in ``s.pairs()`` order, stacked into (perm,
+    sign) arrays of shape (pairs, n); None unless every J_ij is a signed
+    permutation."""
+    pairs = s.pairs()
+    perm = np.empty((len(pairs), s.n), dtype=np.intp)
+    sign = np.empty((len(pairs), s.n), dtype=np.int64)
+    for t, key in enumerate(pairs):
+        cols = linalg.signed_perm_columns(s.family.mats[key])
+        if cols is None:
+            return None
+        perm[t], sign[t] = cols
+    return perm, sign
 
 
 def _verify_relations_signed_perm(s: EvenCliffordStructure) -> list[Failure] | None:
-    """O(n) per check when every family matrix is a signed permutation.
+    """The relation suite on column forms: A e_c = a[c] e_{p[c]}, and the
+    product A B has perm p_A[p_B] and sign b * a[p_B].
 
-    Returns None when the fast representation does not apply; composition of
-    column forms is exact integer arithmetic throughout.
+    Each identity family is one gather over a batch, compared by masks;
+    only failing identities are densified, for their residual.  Each family
+    is checked in its own function, so its temporaries are freed before
+    the next one.  Returns None when some J_ij is not a signed permutation.
     """
-    n, r = s.n, s.r
-    parts = {}
-    for (i, j) in s.pairs():
-        sp = _signed_perm_parts(s.family.mats[(i, j)])
-        if sp is None:
-            return None
-        parts[(i, j)] = sp
-    for (i, j) in list(parts):
-        p, sg = parts[(i, j)]
-        parts[(j, i)] = (p, -sg)
+    cols = _family_columns(s)
+    if cols is None:
+        return None
+    failures = _square_failures(s, *cols)
+    if s.r >= 3:
+        failures += _shared_index_failures(s.r, s.pairs(), *cols)
+        failures += _disjoint_failures(s.pairs(), *cols)
+    return failures
 
-    def compose(a, b):
-        pa, sa = a
-        pb, sb = b
-        return pa[pb], sb * sa[pb]
 
-    def equal(a, b):
-        return np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+def _perm_residual(p: np.ndarray, sg: np.ndarray, q: np.ndarray, sq: np.ndarray) -> str:
+    return format_residual(linalg.signed_perm_matrix(p, sg) - linalg.signed_perm_matrix(q, sq))
 
+
+def _square_failures(s: EvenCliffordStructure, perm: np.ndarray, sign: np.ndarray) -> list[Failure]:
+    """Skewness and unit squares.  A signed permutation is orthogonal, so
+    A^T = -A exactly when A^2 = -1, that is when p[p] = id and a[p] = -a."""
+    pairs = s.pairs()
+    stack = np.arange(len(pairs)).reshape(-1, 1)
+    sq_perm, sq_sign = perm[stack, perm], sign * sign[stack, perm]
     failures = []
-    idx = np.arange(n)
+    for t in np.flatnonzero(~((sq_perm == np.arange(s.n)).all(axis=1) & (sq_sign == -1).all(axis=1))):
+        m = s.family.mats[pairs[t]]
+        failures.append(Failure("skew_symmetry", pairs[t], format_residual(m + m.T)))
+        square = linalg.signed_perm_matrix(sq_perm[t], sq_sign[t])
+        failures.append(Failure("unit_square", pairs[t], format_residual(square + linalg.eye(s.n))))
+    return failures
 
-    def dense(a):
-        out = np.zeros((n, n), dtype=np.int64)
-        out[a[0], idx] = a[1]
-        return out
 
-    def residual(a, b) -> str:
-        return format_residual(dense(a) - dense(b))
+def _shared_index_failures(r: int, pairs, perm: np.ndarray, sign: np.ndarray) -> list[Failure]:
+    """J_ij J_ik = J_jk for distinct i, j, k: one gather per i over all (j, k)."""
+    # every ordered pair (i, j), i != j; J_ji = -J_ij has the same perm
+    row = {p: t for t, p in enumerate(pairs)}
+    order = [(i, j) for i in range(1, r + 1) for j in range(1, r + 1) if i != j]
+    pos = {p: t for t, p in enumerate(order)}
+    rows = [row[(min(p), max(p))] for p in order]
+    flip = np.array([1 if i < j else -1 for i, j in order], dtype=np.int64).reshape(-1, 1)
+    o_perm, o_sign = perm[rows], flip * sign[rows]
 
-    for (i, j) in s.pairs():
-        m = s.family.mats[(i, j)]
-        res = m + m.T
-        if res.any():
-            failures.append(Failure("skew_symmetry", (i, j), format_residual(res)))
-        sq = compose(parts[(i, j)], parts[(i, j)])
-        if not (np.array_equal(sq[0], idx) and (sq[1] == -1).all()):
-            failures.append(Failure("unit_square", (i, j), residual(sq, (idx, -np.ones(n, dtype=np.int64)))))
+    left = np.arange(r - 1).reshape(-1, 1, 1)
+    off_diagonal = ~np.eye(r - 1, dtype=bool)
+    failures = []
     for i in range(1, r + 1):
-        for j in range(1, r + 1):
-            for k in range(1, r + 1):
-                if len({i, j, k}) < 3:
-                    continue
-                got = compose(parts[(i, j)], parts[(i, k)])
-                if not equal(got, parts[(j, k)]):
-                    failures.append(
-                        Failure("shared_index_composition", (i, j, k), residual(got, parts[(j, k)]))
-                    )
-    for (i, j) in s.pairs():
-        for (k, l) in s.pairs():
-            if (i, j) < (k, l) and len({i, j, k, l}) == 4:
-                ab = compose(parts[(i, j)], parts[(k, l)])
-                ba = compose(parts[(k, l)], parts[(i, j)])
-                if not equal(ab, ba):
-                    failures.append(Failure("disjoint_commutation", (i, j, k, l), residual(ab, ba)))
+        js = [j for j in range(1, r + 1) if j != i]
+        sel = [pos[(i, j)] for j in js]
+        p_i, s_i = o_perm[sel], o_sign[sel]
+        # J_jk for each (j, k); the diagonal j = k is no identity and is masked
+        target = np.array([[pos.get((j, k), 0) for k in js] for j in js])
+        # perms, then signs: one (r-1, r-1, n) temporary at a time
+        got_perm = p_i[left, p_i[None]]
+        bad = (got_perm != o_perm[target]).any(axis=2)
+        got_sign = s_i[left, p_i[None]]
+        got_sign *= s_i[None]
+        bad |= (got_sign != o_sign[target]).any(axis=2)
+        bad &= off_diagonal
+        for a, b in zip(*np.nonzero(bad)):
+            t = target[a, b]
+            failures.append(
+                Failure(
+                    "shared_index_composition",
+                    (i, js[a], js[b]),
+                    _perm_residual(got_perm[a, b], got_sign[a, b], o_perm[t], o_sign[t]),
+                )
+            )
+    return failures
+
+
+def _disjoint_failures(pairs, perm: np.ndarray, sign: np.ndarray) -> list[Failure]:
+    """J_ij J_kl = J_kl J_ij for disjoint pairs: one gather per pair over
+    its later partners."""
+    first = np.array([p[0] for p in pairs]).reshape(-1, 1)
+    second = np.array([p[1] for p in pairs]).reshape(-1, 1)
+    disjoint = (first != first.T) & (first != second.T) & (second != first.T) & (second != second.T)
+    later = np.triu(disjoint, 1)
+    failures = []
+    for t in np.flatnonzero(later.any(axis=1)):
+        others = np.flatnonzero(later[t])
+        p_t, s_t, p_u, s_u = perm[t], sign[t], perm[others], sign[others]
+        ab_perm, ab_sign = p_t[p_u], s_u * s_t[p_u]
+        ba_perm, ba_sign = p_u[:, p_t], s_t * s_u[:, p_t]
+        bad = ((ab_perm != ba_perm) | (ab_sign != ba_sign)).any(axis=1)
+        for slot in np.flatnonzero(bad):
+            failures.append(
+                Failure(
+                    "disjoint_commutation",
+                    pairs[t] + pairs[others[slot]],
+                    _perm_residual(ab_perm[slot], ab_sign[slot], ba_perm[slot], ba_sign[slot]),
+                )
+            )
     return failures
 
 
@@ -272,14 +325,12 @@ def _verify_relations_dense(s: EvenCliffordStructure) -> list[Failure]:
     ident = linalg.eye(n)
     failures = []
 
-    for (i, j) in pairs:
-        m = stack[pos[(i, j)]]
-        res = m + m.T
-        if res.any():
-            failures.append(Failure("skew_symmetry", (i, j), format_residual(res)))
     sub = stack[[pos[p] for p in pairs]]
     squares = linalg.imatmul(sub, sub) + ident
     for t, (i, j) in enumerate(pairs):
+        res = sub[t] + sub[t].T
+        if res.any():
+            failures.append(Failure("skew_symmetry", (i, j), format_residual(res)))
         if squares[t].any():
             failures.append(Failure("unit_square", (i, j), format_residual(squares[t])))
 
@@ -314,16 +365,17 @@ def verify_orthogonality(s: EvenCliffordStructure) -> VerificationReport:
 
     Pairs sharing exactly one index anticommute, so their pairing vanishes
     for every rank.  Pairings of disjoint index pairs vanish for r != 4; for
-    r = 4 they are reported as data without being asserted.
+    r = 4 they are reported as data without being asserted.  Traces of
+    signed-permutation families are summed on column forms, all others by
+    ``linalg.trace_products``.
     """
     pairs = s.pairs()
-    checked = [
-        (x, y)
-        for x, (i, j) in enumerate(pairs)
-        for y, (k, l) in enumerate(pairs)
-        if (i, j) < (k, l) and len({i, j} & {k, l}) < 2
-    ]
-    traces = linalg.trace_products([s.family.mats[p] for p in pairs], checked)
+    checked = [(x, y) for x in range(len(pairs)) for y in range(x + 1, len(pairs))]
+    cols = _family_columns(s)
+    if cols is None:
+        traces = linalg.trace_products([s.family.mats[p] for p in pairs], checked)
+    else:
+        traces = _signed_perm_traces(*cols)
     failures = []
     pairings = {}
     for (x, y), t in zip(checked, traces):
@@ -337,6 +389,24 @@ def verify_orthogonality(s: EvenCliffordStructure) -> VerificationReport:
             failures.append(Failure("disjoint_orthogonality", (i, j, k, l), str(t)))
     data = {"pairings": pairings} if s.r == 4 else {}
     return VerificationReport("orthogonality", failures, data)
+
+
+def _signed_perm_traces(perm: np.ndarray, sign: np.ndarray) -> list[int]:
+    """trace(A_x A_y) for every x < y of a stack of column forms, row by row.
+
+    (A_x A_y) e_c = b[c] a[q[c]] e_{p[q[c]]} with (p, a), (q, b) the forms
+    of A_x, A_y, so the trace sums b[c] a[q[c]] over the c with p[q[c]] = c;
+    every partial sum is at most n in absolute value.
+    """
+    idx = np.arange(perm.shape[1])
+    traces = []
+    for x in range(perm.shape[0] - 1):
+        q = perm[x + 1 :]
+        terms = sign[x][q]
+        terms *= sign[x + 1 :]
+        terms[perm[x][q] != idx] = 0
+        traces.extend(terms.sum(axis=1).tolist())
+    return traces
 
 
 def volume_endomorphism(s: EvenCliffordStructure) -> tuple[np.ndarray, dict]:

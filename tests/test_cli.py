@@ -101,6 +101,24 @@ class TestVerify:
         path.write_text(json.dumps(payload))
         assert run_cli("verify", "--structure", str(path)) == 2
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"r": 2, "J": []}, "the family has no field 'n'"),
+            ({"n": 2, "J": []}, "the family has no field 'r'"),
+            ({"n": 2, "r": 2}, "the family has no field 'J'"),
+            ({"n": 2, "r": 2, "J": [{"j": 2, "matrix": [0, -1, 1, 0]}]}, "J entry 0 has no field 'i'"),
+            ({"n": 2, "r": 3, "J": [{"i": 1, "j": 2, "matrix": [0, -1, 1, 0]}, {"i": 1}]}, "J entry 1 has no field 'j'"),
+            ({"n": 2, "r": 2, "J": [{"i": 1, "j": 2}]}, "J entry 0 has no field 'matrix'"),
+        ],
+        ids=["n", "r", "J", "i", "j", "matrix"],
+    )
+    def test_missing_field_is_named(self, tmp_path, capsys, payload, message):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(payload))
+        assert run_cli("verify", "--structure", str(path)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("edit", ["float generator entry", "rank without its generators"])
     def test_malformed_repgen_is_input_error(self, tmp_path, edit):
         rep_path = tmp_path / "rep.json"

@@ -110,6 +110,48 @@ def test_signed_permutation_predicate():
     assert not linalg.is_signed_permutation(np.array([[1, 1], [0, 1]], dtype=np.int64))
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 0, 0], [1, 0, 0], [0, 0, -1]],
+        [[0, 1, 0], [1, 0, 0], [0, 1, -1]],
+        [[0, 2, 0], [1, 0, 0], [0, 0, 1]],
+        [[0, -2, 0], [1, 0, 0], [0, 0, 1]],
+        [[0, -(2**63), 0], [1, 0, 0], [0, 0, 1]],
+        [[0, -(2**63), 0], [0, 0, 0], [0, 0, 1]],
+    ],
+    ids=["repeated row", "extra nonzero", "entry 2", "entry -2", "int64 min", "int64 min, empty row"],
+)
+def test_signed_perm_columns_rejects(rows):
+    assert linalg.signed_perm_columns(np.array(rows, dtype=np.int64)) is None
+
+
+def test_signed_perm_columns_refuses_object_arrays():
+    a = np.array([[0, -1], [1, 0]], dtype=object)
+    assert linalg.signed_perm_columns(a) is None
+    assert linalg.signed_perm_columns(np.array([[0, -(2**64)], [1, 0]], dtype=object)) is None
+
+
+def test_signed_perm_columns_identity():
+    perm, sign = linalg.signed_perm_columns(linalg.eye(5))
+    assert perm.tolist() == list(range(5)) and sign.tolist() == [1] * 5
+
+
+def test_signed_perm_columns_round_trip():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 64):
+        perm, sign = rng.permutation(n), rng.choice([-1, 1], n)
+        a = linalg.zeros(n)
+        a[perm, np.arange(n)] = sign
+        got = linalg.signed_perm_columns(a)
+        assert got is not None
+        assert np.array_equal(got[0], perm) and np.array_equal(got[1], sign)
+        assert np.array_equal(linalg.signed_perm_matrix(*got), a)
+        # the column form of a product is the composition of the forms
+        sq = linalg.signed_perm_matrix(*linalg.compose_columns(got, got))
+        assert np.array_equal(sq, a @ a)
+
+
 def test_trace_product():
     a = np.array([[0, -1], [1, 0]], dtype=np.int64)
     assert linalg.trace_product(a, a) == -2

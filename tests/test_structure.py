@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clifflab import linalg
+from clifflab import linalg, structure
 from clifflab.blades import AlgebraSignature, CliffordElement, hodge_dual_element
 from clifflab.reps import (
     UnsupportedRankError,
@@ -14,6 +14,7 @@ from clifflab.reps import (
     build_even_rep,
     evaluate,
     j_family,
+    triality_map,
 )
 from clifflab.structure import (
     EvenCliffordStructure,
@@ -395,17 +396,22 @@ def _relation_oracle(n, r, mats):
     return out
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_relation_verdicts_match_python_int_oracle(data):
-    r = data.draw(st.integers(2, 8), label="r")
+def _conjugated_family(data, r):
+    """The family of build_even_rep(r) conjugated by a drawn signed permutation."""
     fam = j_family(build_even_rep(r))
     n = fam.n
     q = np.zeros((n, n), dtype=np.int64)
     q[data.draw(st.permutations(range(n))), range(n)] = data.draw(
         st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)
     )
-    mats = {key: q @ m @ q.T for key, m in fam.mats.items()}
+    return n, {key: q @ m @ q.T for key, m in fam.mats.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_relation_verdicts_match_python_int_oracle(data):
+    r = data.draw(st.integers(2, 8), label="r")
+    n, mats = _conjugated_family(data, r)
     s = EvenCliffordStructure.from_matrices(n, r, mats)
     assert verify_relations(s).passed and verify_orthogonality(s).passed
     assert _relation_oracle(n, r, mats) == set()
@@ -419,6 +425,49 @@ def test_relation_verdicts_match_python_int_oracle(data):
     got = {(f.identity, f.indices) for f in report.failures}
     assert ("skew_symmetry", key) in got
     assert got == _relation_oracle(n, r, mats)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fast_kernels_match_the_dense_oracle(data):
+    # the column-form kernels against the dense products, on valid families
+    # and on families with one J_ij changed but still a signed permutation
+    r = data.draw(st.integers(2, 9), label="r")
+    n, mats = _conjugated_family(data, r)
+    change = data.draw(st.sampled_from(["none", "flip one entry", "swap two columns"]), label="change")
+    if change != "none":
+        key = data.draw(st.sampled_from(sorted(mats)), label="pair")
+        m = mats[key].copy()
+        a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True), label="columns")
+        if change == "flip one entry":
+            m[:, a] *= -1
+        else:
+            m[:, [a, b]] = m[:, [b, a]]
+        mats[key] = m
+    s = EvenCliffordStructure.from_matrices(n, r, mats)
+    fast = structure._verify_relations_signed_perm(s)
+    assert fast is not None
+    assert [f.to_dict() for f in fast] == [f.to_dict() for f in structure._verify_relations_dense(s)]
+    assert (fast == []) == (change == "none")
+    pairs = s.pairs()
+    checked = [(x, y) for x in range(len(pairs)) for y in range(x + 1, len(pairs))]
+    dense = linalg.trace_products([mats[p] for p in pairs], checked)
+    assert structure._signed_perm_traces(*structure._family_columns(s)) == dense
+
+
+def test_built_families_take_the_fast_paths(monkeypatch):
+    # a silent fall-back to the dense products would pass every other test
+    spin = triality_map()
+    families = [EvenCliffordStructure.from_rep(build_even_rep(r)) for r in range(2, 13)]
+    families += [EvenCliffordStructure(8, 8, fam) for fam in (spin.spin_family, spin.pulled_back)]
+
+    def refuse(*args):
+        raise RuntimeError("dense fallback taken")
+
+    monkeypatch.setattr(structure, "_verify_relations_dense", refuse)
+    monkeypatch.setattr(linalg, "trace_products", refuse)
+    for s in families:
+        assert verify_relations(s).passed and verify_orthogonality(s).passed, (s.n, s.r)
 
 
 @settings(max_examples=60, deadline=None)
