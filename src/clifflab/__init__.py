@@ -19,11 +19,8 @@ from .curvature import (
     ModelSpace,
     build_model,
     centralizer_dim,
-    constant_curvature_op,
-    fubini_study_op,
     isotropy_projection_op,
     lambda2_spectrum,
-    quaternionic_op,
     verify_cc_normalization,
     verify_parallel_identities,
     verify_spectrum,

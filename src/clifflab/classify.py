@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .curvature import build_model, cc_scal, centralizer_dim
-from .reps import build_even_rep, j_family, n0, n_irr
+from .curvature import cc_scal, centralizer_dim
+from .reps import irreducible_even_rep, n0, n_irr
 
 
 @dataclass(frozen=True)
@@ -210,13 +210,7 @@ def case1_n8(r: int) -> dict:
     if r not in _CASE1_N8:
         raise ValueError("the 8-dimensional case covers ranks 5 to 8")
     group, geometry = _CASE1_N8[r]
-    if r == 8:
-        fam = build_model("s8").structure.family
-        gens = [fam.j(1, j) for j in range(2, 9)]
-    else:
-        fam = j_family(build_even_rep(r))
-        gens = [fam.j(1, j) for j in range(2, r + 1)]
-    dim, _ = centralizer_dim(gens)
+    dim, _ = centralizer_dim(irreducible_even_rep(r).generators)
     return {
         "r": r,
         "structure_group": group,

@@ -227,9 +227,7 @@ def _dimension_tables(rng) -> VerificationReport:
 def _relation_sweep(rng) -> VerificationReport:
     failures = []
     for r in range(2, 17):
-        # minimal irreducible family at every rank; for r = 0 mod 4 that is
-        # the positive volume block
-        s = _even_structure(r, 1, 0) if r % 4 == 0 else _even_structure(r)
+        s = structure.EvenCliffordStructure.from_rep(reps.irreducible_even_rep(r))
         failures += _within(f"r={r}", structure.verify_relations(s))
         orthogonality = structure.verify_orthogonality(s)
         failures += _within(f"r={r}", orthogonality)

@@ -21,18 +21,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import linalg
-from .reps import build_even_rep, j_family, quaternion_units
+from .reps import irreducible_even_rep
 from .structure import (
     EvenCliffordStructure,
     Failure,
     VerificationReport,
     format_residual,
-    volume_endomorphism,
+    verify_orthogonality,
 )
 
 
@@ -120,69 +120,6 @@ class CurvatureOperator:
 
 
 # -- model constructors --------------------------------------------------------
-
-
-def constant_curvature_op(n: int, c: Fraction | int) -> CurvatureOperator:
-    """R(X,Y,Z,W) = c [g(X,W) g(Y,Z) - g(X,Z) g(Y,W)]; R^ = c id."""
-    if n < 2:
-        raise CurvatureError("need n >= 2")
-    c = Fraction(c)
-    ident = linalg.eye(n)
-    t = np.einsum("ad,bc->abcd", ident, ident) - np.einsum("ac,bd->abcd", ident, ident)
-    return CurvatureOperator(n, c.numerator * t, c.denominator)
-
-
-def _kahler_type_tensor(structures: Sequence[np.ndarray], n: int) -> np.ndarray:
-    ident = linalg.eye(n)
-    t = np.einsum("bc,ad->abcd", ident, ident) - np.einsum("ac,bd->abcd", ident, ident)
-    for j in structures:
-        t = t + (
-            np.einsum("cb,da->abcd", j, j)
-            - np.einsum("ca,db->abcd", j, j)
-            - 2 * np.einsum("ba,dc->abcd", j, j)
-        )
-    return t
-
-
-def fubini_study_op(
-    m: int, c: Fraction | int, kahler: np.ndarray | None = None
-) -> tuple[CurvatureOperator, np.ndarray]:
-    """Complex projective space with holomorphic sectional curvature c.
-
-    R_{X,Y} Z = (c/4) [ g(Y,Z) X - g(X,Z) Y + g(JY,Z) JX - g(JX,Z) JY
-                        - 2 g(JX,Y) JZ ].
-    Returns the operator together with the complex structure used.
-    """
-    if m < 1:
-        raise CurvatureError("need complex dimension m >= 1")
-    n = 2 * m
-    j = kahler if kahler is not None else np.kron(linalg.eye(m), linalg.intmat([[0, -1], [1, 0]]))
-    if not (np.array_equal(j @ j, -linalg.eye(n)) and linalg.is_skew(j)):
-        raise CurvatureError("kahler argument must be a skew complex structure")
-    c4 = Fraction(c) / 4
-    t = _kahler_type_tensor([j], n)
-    return CurvatureOperator(n, c4.numerator * t, c4.denominator), j
-
-
-def quaternionic_op(
-    q: int, c: Fraction | int, triple: Sequence[np.ndarray] | None = None
-) -> tuple[CurvatureOperator, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Quaternionic projective space with maximal sectional curvature c.
-
-    Same shape as the complex model, summed over a compatible quaternion
-    triple I, J, K (default: right multiplications on H^q).
-    """
-    if q < 1:
-        raise CurvatureError("need quaternionic dimension q >= 1")
-    n = 4 * q
-    trip = tuple(triple) if triple is not None else quaternion_units(q)
-    if len(trip) != 3:
-        raise CurvatureError("need a triple I, J, K")
-    if not np.array_equal(linalg.imatmul(trip[0], trip[1]), trip[2]):
-        raise CurvatureError("triple must satisfy I J = K")
-    c4 = Fraction(c) / 4
-    t = _kahler_type_tensor(trip, n)
-    return CurvatureOperator(n, c4.numerator * t, c4.denominator), trip
 
 
 def _projection_matrix(basis: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
@@ -413,8 +350,9 @@ def verify_cc_normalization(op: CurvatureOperator, s: EvenCliffordStructure) -> 
     """Curvature constancy normalisation: forms equal twice the family.
 
     Runs the parallel identity suite at kappa = 2, the scalar curvature
-    value scal = 2n(n/4 + 2r - 4), and the trace orthogonality of the
-    curvature forms against the family.
+    value scal = 2n(n/4 + 2r - 4), and, for r != 4, the trace orthogonality
+    of the curvature forms 2 J_ij: each failure of the family's
+    orthogonality suite is reported with its residual doubled.
     """
     base = verify_parallel_identities(op, s, 2)
     failures = list(base.failures)
@@ -428,12 +366,10 @@ def verify_cc_normalization(op: CurvatureOperator, s: EvenCliffordStructure) -> 
     if n == 4:
         data["note"] = "n = 4: scalar normalisation outside its stated domain; value reported"
     if r != 4:
-        for (i, j) in s.pairs():
-            for (k, l) in s.pairs():
-                if (i, j) < (k, l) and {i, j} != {k, l}:
-                    t = 2 * linalg.trace_product(s.j(i, j), s.j(k, l))
-                    if t != 0:
-                        failures.append(Failure("form_orthogonality", (i, j, k, l), str(t)))
+        failures += [
+            Failure("form_orthogonality", f.indices, str(2 * int(f.residual)))
+            for f in verify_orthogonality(s).failures
+        ]
     return VerificationReport("cc_normalization", failures, data)
 
 
@@ -441,21 +377,44 @@ def verify_cc_normalization(op: CurvatureOperator, s: EvenCliffordStructure) -> 
 
 
 def centralizer_dim(gens: Sequence[np.ndarray]) -> tuple[int, list[np.ndarray]]:
-    """Dimension and basis of the centralizer of a set of matrices in so(n).
+    """Dimension and basis of the commutant of signed permutations in so(n).
 
-    Solved as the exact kernel of the stacked commutator system over the
-    pair-coordinate space of skew matrices.
+    For G e_c = s_c e_{p(c)}, X G = G X reads X[p a, p b] = s_a s_b X[a, b]
+    and skewness reads X[b, a] = -X[a, b]: every rule ties one entry of X
+    to another up to sign, so the entries fall into classes of tied
+    entries.  A class that ties an entry to its own negative is zero; every
+    other class gives one basis matrix, +-1 on the class and 0 elsewhere.
+    Input that is not signed permutations of one size raises CurvatureError.
     """
-    gens = [np.asarray(g) for g in gens]
-    n = gens[0].shape[0]
-    m = len(linalg.pair_basis(n))
-    basis_elems = np.stack([linalg.coords_to_skew(e, n) for e in linalg.eye(m)])
-    # rows: coordinate slots of [E_p, G] for every G; columns: coefficient x_p
-    stacked = np.concatenate(
-        [linalg.skew_to_coords(linalg.commutator(basis_elems, g)).T for g in gens]
-    )
-    kernel = linalg.nullspace(stacked)
-    return len(kernel), [linalg.coords_to_skew(v, n) for v in kernel]
+    cols = [linalg.signed_perm_columns(np.asarray(g)) for g in gens]
+    if not cols or any(c is None for c in cols) or len({len(c[0]) for c in cols}) != 1:
+        raise CurvatureError("centralizer_dim takes signed permutations of one size only")
+    n = len(cols[0][0])
+    a, b = np.divmod(np.arange(n * n), n)
+    # a rule (to, by) says: entry to[x] is by[x] times entry x = a n + b
+    rules = [(b * n + a, np.full(n * n, -1))] + [(p[a] * n + p[b], s[a] * s[b]) for p, s in cols]
+    # each entry takes the least entry of its class as label and its value
+    # relative to that entry; the rules are bijections of a finite set, so
+    # pushing labels forward along them reaches the whole class
+    label = np.arange(n * n)
+    value = np.ones(n * n, dtype=np.int64)
+    changed = True
+    while changed:
+        changed = False
+        for to, by in rules:
+            lower = label < label[to]
+            if lower.any():
+                label[to[lower]] = label[lower]
+                value[to[lower]] = by[lower] * value[lower]
+                changed = True
+    zero = np.zeros(n * n, dtype=bool)
+    for to, by in rules:
+        zero[label[value[to] != by * value]] = True
+    roots = np.flatnonzero((label == np.arange(n * n)) & ~zero)
+    free = np.flatnonzero(~zero[label])
+    basis = np.zeros((len(roots), n * n), dtype=np.int64)
+    basis[np.searchsorted(roots, label[free]), free] = value[free]
+    return len(roots), list(basis.reshape(-1, n, n))
 
 
 # -- model spaces -----------------------------------------------------------------
@@ -470,19 +429,10 @@ class ModelSpace:
     r: int
     structure: EvenCliffordStructure
     operator: CurvatureOperator
-    scale: Fraction
+    scale: Fraction  # the eigenvalue of R^ on the span of the family
     expected_ricci: Fraction
     expected_scal: Fraction
     spectrum_candidates: list[Fraction]
-
-
-def _calibrate(build: Callable[[Fraction], CurvatureOperator], target_scal: Fraction) -> tuple[CurvatureOperator, Fraction]:
-    probe = build(Fraction(1))
-    base = probe.scalar()
-    if base == 0:
-        raise CalibrationError("model has identically zero scalar curvature")
-    c = Fraction(target_scal) / base
-    return build(c), c
 
 
 def cc_scal(n: int, r: int) -> Fraction:
@@ -494,68 +444,31 @@ def cc_ricci(n: int, r: int) -> Fraction:
     return 2 * (Fraction(n, 4) + 2 * r - 4)
 
 
+# the four n <= 16 model fibres, each by the rank of its family
+MODEL_RANKS = {"s8": 8, "cp4": 6, "hp2": 5, "op2": 9}
+MODEL_NAMES = tuple(MODEL_RANKS)
+
+
 def build_model(name: str) -> ModelSpace:
-    """The four n <= 16 model fibres: s8, cp4, hp2, op2."""
-    if name == "s8":
-        rep = build_even_rep(8, 1, 1)
-        fam = j_family(rep)
-        block = {p: m[:8, :8] for p, m in fam.mats.items()}
-        s = EvenCliffordStructure.from_matrices(8, 8, block)
-        op, c = _calibrate(lambda cc: constant_curvature_op(8, cc), cc_scal(8, 8))
-        return ModelSpace(
-            "s8", 8, 8, s, op, c, cc_ricci(8, 8), cc_scal(8, 8), [c]
-        )
-    if name == "cp4":
-        s = EvenCliffordStructure.from_rep(build_even_rep(6))
-        kahler, _ = volume_endomorphism(s)
-        op, c = _calibrate(
-            lambda cc: fubini_study_op(4, cc, kahler)[0], cc_scal(8, 6)
-        )
-        return ModelSpace(
-            "cp4",
-            8,
-            6,
-            s,
-            op,
-            c,
-            cc_ricci(8, 6),
-            cc_scal(8, 6),
-            [Fraction(0), c / 2, 5 * c / 2],
-        )
-    if name == "hp2":
-        s = EvenCliffordStructure.from_rep(build_even_rep(5))
-        triple = quaternion_units(2)
-        op, c = _calibrate(
-            lambda cc: quaternionic_op(2, cc, triple)[0], cc_scal(8, 5)
-        )
-        return ModelSpace(
-            "hp2",
-            8,
-            5,
-            s,
-            op,
-            c,
-            cc_ricci(8, 5),
-            cc_scal(8, 5),
-            [Fraction(0), c, 2 * c],
-        )
-    if name == "op2":
-        s = EvenCliffordStructure.from_rep(build_even_rep(9))
-        scale = Fraction(s.n, 2)
-        ideal = [s.family.mats[p] for p in s.pairs()]
-        op = isotropy_projection_op([ideal], [scale])
-        return ModelSpace(
-            "op2",
-            16,
-            9,
-            s,
-            op,
-            scale,
-            cc_ricci(16, 9),
-            cc_scal(16, 9),
-            [Fraction(0), scale],
-        )
-    raise CurvatureError(f"unknown model {name!r}; available: s8, cp4, hp2, op2")
+    """The model fibre of rank r = MODEL_RANKS[name] as a symmetric space.
 
-
-MODEL_NAMES = ("s8", "cp4", "hp2", "op2")
+    The family is the irreducible Cl0_r module; the isotropy algebra is
+    span{J_ij} plus the commutant C of the family.  R^ = c_J P_J + c_C P_C,
+    where c_J = n/2 because R^(J) = (n kappa / 4) J at kappa = 2, and c_C
+    follows from trace R^ = scal / 2 at the normalised scalar curvature.
+    """
+    if name not in MODEL_RANKS:
+        raise CurvatureError(f"unknown model {name!r}; available: {', '.join(MODEL_NAMES)}")
+    r = MODEL_RANKS[name]
+    rep = irreducible_even_rep(r)
+    s = EvenCliffordStructure.from_rep(rep)
+    n = s.n
+    family = [s.family.mats[p] for p in s.pairs()]
+    _, commutant = centralizer_dim(rep.generators)
+    c_j = Fraction(n, 2)
+    ideals, scales = [family], [c_j]
+    if commutant:
+        ideals.append(commutant)
+        scales.append((cc_scal(n, r) / 2 - c_j * len(family)) / len(commutant))
+    op = isotropy_projection_op(ideals, scales)
+    return ModelSpace(name, n, r, s, op, c_j, cc_ricci(n, r), cc_scal(n, r), sorted({Fraction(0), *scales}))

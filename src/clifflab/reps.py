@@ -199,9 +199,13 @@ class MatrixRep:
 
     @classmethod
     def from_json(cls, text: str) -> "MatrixRep":
-        """Load a repgen file; generators must be exactly dim^2 JSON integers
-        below 2^63 in absolute value, else RepresentationError."""
+        """Load a repgen file; it must hold dim, rank, kind and generators,
+        each generator exactly dim^2 JSON integers below 2^63 in absolute
+        value, else RepresentationError."""
         data = json.loads(text)
+        for key in ("dim", "rank", "kind", "generators"):
+            if key not in data:
+                raise RepresentationError(f"the representation has no field {key!r}")
         n = data["dim"]
         if not isinstance(data["generators"], list):
             raise RepresentationError("generators must be a list")
@@ -290,6 +294,12 @@ def build_even_rep(r: int, m_plus: int = 1, m_minus: int | None = None) -> Matri
     base = _base_generators(q)
     gens = tuple(_block_diag([g] * copies) for g in base)
     return MatrixRep(r, n0(r) * copies, "even", gens)
+
+
+def irreducible_even_rep(r: int) -> MatrixRep:
+    """The irreducible Cl0_r module; for r = 0 mod 4, the block on which
+    the represented volume is +1."""
+    return build_even_rep(r, 1, 0) if r % 4 == 0 else build_even_rep(r)
 
 
 # -- evaluation --------------------------------------------------------------

@@ -145,15 +145,17 @@ class EvenCliffordStructure:
 
     @classmethod
     def from_json(cls, text: str) -> "EvenCliffordStructure":
-        """Load a repgen file or an explicit family.
+        """Load a repgen file (any object with a rank, dim, kind or
+        generators field) or an explicit family.
 
         Only JSON integers below 2^63 in absolute value are accepted, exactly
-        n^2 per matrix; anything else raises StructureError.
+        n^2 per matrix; anything else raises StructureError, or
+        RepresentationError for a repgen file.
         """
         data = json.loads(text)
         if not isinstance(data, dict):
             raise StructureError("a structure file holds one JSON object")
-        if "generators" in data:
+        if data.keys() & {"rank", "dim", "kind", "generators"}:
             return cls.from_rep(MatrixRep.from_json(text))
         n, r, entries = (_field(data, key, "the family") for key in ("n", "r", "J"))
         if not (_is_int(n) and _is_int(r) and n >= 1):

@@ -3,6 +3,7 @@ import os
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,10 @@ from clifflab import cli, structure
 from clifflab.cli import main
 from clifflab.reps import MatrixRep, build_even_rep, j_family
 from clifflab.structure import StructureError, extend_hodge
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+GENERATORS = [[0, -1, 1, 0]]
 
 
 def run_cli(*argv):
@@ -110,8 +115,12 @@ class TestVerify:
             ({"n": 2, "r": 2, "J": [{"j": 2, "matrix": [0, -1, 1, 0]}]}, "J entry 0 has no field 'i'"),
             ({"n": 2, "r": 3, "J": [{"i": 1, "j": 2, "matrix": [0, -1, 1, 0]}, {"i": 1}]}, "J entry 1 has no field 'j'"),
             ({"n": 2, "r": 2, "J": [{"i": 1, "j": 2}]}, "J entry 0 has no field 'matrix'"),
+            ({"rank": 2, "kind": "even", "generators": GENERATORS}, "the representation has no field 'dim'"),
+            ({"dim": 2, "kind": "even", "generators": GENERATORS}, "the representation has no field 'rank'"),
+            ({"dim": 2, "rank": 2, "generators": GENERATORS}, "the representation has no field 'kind'"),
+            ({"dim": 2, "rank": 2, "kind": "even"}, "the representation has no field 'generators'"),
         ],
-        ids=["n", "r", "J", "i", "j", "matrix"],
+        ids=["n", "r", "J", "i", "j", "matrix", "dim", "rank", "kind", "generators"],
     )
     def test_missing_field_is_named(self, tmp_path, capsys, payload, message):
         path = tmp_path / "family.json"
@@ -182,6 +191,12 @@ class TestCurvature:
         data = json.loads(out.read_text())
         assert data["passed"]
         assert data["config"]["expected_scal"] == "224"
+
+    @pytest.mark.parametrize("model", ["s8", "cp4", "hp2", "op2"])
+    def test_report_bytes_match_fixture(self, tmp_path, model):
+        out = tmp_path / f"{model}.json"
+        assert run_cli("curvature", "--model", model, "--check", "all", "--out", str(out)) == 0
+        assert out.read_bytes() == (FIXTURES / f"curvature_{model}.json").read_bytes()
 
 
 class TestClassify:

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clifflab import linalg
 from clifflab.curvature import (
@@ -12,16 +14,13 @@ from clifflab.curvature import (
     cc_ricci,
     cc_scal,
     centralizer_dim,
-    constant_curvature_op,
-    fubini_study_op,
     isotropy_projection_op,
     lambda2_spectrum,
-    quaternionic_op,
     verify_cc_normalization,
     verify_parallel_identities,
 )
 from clifflab.reps import build_even_rep, j_family, quaternion_units
-from clifflab.structure import EvenCliffordStructure
+from clifflab.structure import EvenCliffordStructure, Failure, verify_orthogonality, volume_endomorphism
 
 
 def independent_ricci(op):
@@ -34,97 +33,148 @@ def independent_ricci(op):
     return out
 
 
+def textbook_op(n, c, structures=()):
+    """Oracle: the closed-form tensor c T with T(X,Y,Z,W) =
+    g(Y,Z) g(X,W) - g(X,Z) g(Y,W), plus for each complex structure J the
+    terms g(JY,Z) g(JX,W) - g(JX,Z) g(JY,W) - 2 g(JX,Y) g(JZ,W).
+
+    No structure: constant curvature c.  One Kahler form: Fubini-Study with
+    holomorphic sectional curvature 4c.  A quaternion triple: quaternionic
+    projective space with maximal sectional curvature 4c.
+    """
+    ident = linalg.eye(n)
+    t = np.einsum("bc,ad->abcd", ident, ident) - np.einsum("ac,bd->abcd", ident, ident)
+    for j in structures:
+        t = t + (
+            np.einsum("cb,da->abcd", j, j)
+            - np.einsum("ca,db->abcd", j, j)
+            - 2 * np.einsum("ba,dc->abcd", j, j)
+        )
+    c = Fraction(c)
+    return CurvatureOperator(n, c.numerator * t, c.denominator)
+
+
+EPS = linalg.intmat([[0, -1], [1, 0]])
+
+
+def standard_kahler(m):
+    return np.kron(linalg.eye(m), EPS)
+
+
+def so_basis(n):
+    return [linalg.coords_to_skew(e, n) for e in linalg.eye(n * (n - 1) // 2)]
+
+
+def constant_curvature(n, c):
+    """Constant curvature c: the isotropy projection at c on all of so(n)."""
+    return isotropy_projection_op([so_basis(n)], [c])
+
+
+def model_ideals(name):
+    """The family span and the commutant that build_model projects onto."""
+    s = build_model(name).structure
+    return [s.family.mats[p] for p in s.pairs()], centralizer_dim(s.rep.generators)[1]
+
+
 class TestConstantCurvature:
     def test_rhat_is_scalar(self):
-        op = constant_curvature_op(8, 4)
+        op = constant_curvature(8, 4)
         rhat, den = op.rhat_matrix()
         assert np.array_equal(rhat, 4 * den * linalg.eye(28))
         assert op.scalar() == 224
 
     def test_zero_operator(self):
-        op = constant_curvature_op(5, 0)
+        op = constant_curvature(5, 0)
         assert not op.num.any()
         assert op.scalar() == 0
         assert all(x == 0 for row in op.ricci() for x in row)
 
     def test_unit_sphere_ricci(self):
-        op = constant_curvature_op(4, 1)
+        op = constant_curvature(4, 1)
         ric = op.ricci()
         assert all(ric[i][j] == (3 if i == j else 0) for i in range(4) for j in range(4))
 
     def test_ricci_matches_oracle(self):
-        op = constant_curvature_op(6, Fraction(3, 2))
+        op = constant_curvature(6, Fraction(3, 2))
         ric = op.ricci()
         oracle = independent_ricci(op)
         assert all(ric[i][j] == oracle[i][j] for i in range(6) for j in range(6))
 
     def test_symmetries_hold(self):
-        assert constant_curvature_op(5, 7).symmetry_violations() == []
+        assert constant_curvature(5, 7).symmetry_violations() == []
 
     def test_trace_identity(self):
-        op = constant_curvature_op(7, Fraction(2, 3))
+        op = constant_curvature(7, Fraction(2, 3))
         assert op.rhat_trace() == op.scalar() / 2
 
 
 class TestFubiniStudy:
     def test_cp1_degenerates_to_sphere(self):
-        op, _ = fubini_study_op(1, 5)
+        op = textbook_op(2, Fraction(5, 4), [standard_kahler(1)])
         rhat, den = op.rhat_matrix()
         assert rhat.shape == (1, 1)
         assert Fraction(int(rhat[0, 0]), den) == 5
 
     def test_scalar_linear_in_scale(self):
-        op1, _ = fubini_study_op(4, 1)
+        op1 = textbook_op(8, Fraction(1, 4), [standard_kahler(4)])
         assert op1.scalar() == 20
-        op8, _ = fubini_study_op(4, 8)
+        op8 = textbook_op(8, 2, [standard_kahler(4)])
         assert op8.scalar() == 160
 
     def test_kahler_form_is_top_eigenvector(self):
-        op, j = fubini_study_op(4, 8)
+        op = build_model("cp4").operator
+        (j,) = model_ideals("cp4")[1]
         applied, den = op.rhat_apply(j)
         assert np.array_equal(applied, 20 * den * j)
 
     def test_bianchi_holds(self):
-        op, _ = fubini_study_op(3, Fraction(5, 2))
+        op = textbook_op(6, Fraction(5, 8), [standard_kahler(3)])
         assert op.symmetry_violations() == []
 
-    def test_rejects_non_complex_structure(self):
-        with pytest.raises(CurvatureError):
-            fubini_study_op(2, 1, kahler=linalg.eye(4))
+    def test_cp4_model_is_the_textbook_tensor(self):
+        # holomorphic sectional curvature 8 for the Kahler form of the family
+        m = build_model("cp4")
+        kahler, _ = volume_endomorphism(m.structure)
+        ref = textbook_op(8, 2, [kahler])
+        assert np.array_equal(m.operator.num, ref.num) and m.operator.den == ref.den
 
 
 class TestQuaternionic:
     def test_hp1_is_constant_curvature(self):
-        op, _ = quaternionic_op(1, 4)
-        ref = constant_curvature_op(4, 4)
+        op = textbook_op(4, 1, quaternion_units(1))
+        ref = constant_curvature(4, 4)
         assert np.array_equal(op.num, ref.num) and op.den == ref.den
 
     def test_hp2_einstein(self):
-        op, _ = quaternionic_op(2, 4)
+        op = build_model("hp2").operator
         ric = op.ricci()
         assert all(ric[i][j] == (16 if i == j else 0) for i in range(8) for j in range(8))
         assert op.scalar() == 128
 
     def test_block_eigenvalues(self):
-        op, triple = quaternionic_op(2, 4)
-        for t in triple:
+        op = build_model("hp2").operator
+        for t in quaternion_units(2):
             applied, den = op.rhat_apply(t)
             assert np.array_equal(applied, 8 * den * t)
 
     def test_sp2_span_gets_scale(self):
-        op, _ = quaternionic_op(2, 4)
+        op = build_model("hp2").operator
         fam = j_family(build_even_rep(5))
         for p in fam.pairs():
             applied, den = op.rhat_apply(fam.mats[p])
             assert np.array_equal(applied, 4 * den * fam.mats[p])
 
+    def test_hp2_model_is_the_textbook_tensor(self):
+        op = build_model("hp2").operator
+        ref = textbook_op(8, 1, quaternion_units(2))
+        assert np.array_equal(op.num, ref.num) and op.den == ref.den
+
 
 class TestIsotropyProjection:
     def test_full_rotation_algebra_is_constant_curvature(self):
         n = 4
-        basis = [linalg.coords_to_skew(e, n) for e in np.eye(6, dtype=np.int64)]
-        op = isotropy_projection_op([basis], [3])
-        ref = constant_curvature_op(n, 3)
+        op = isotropy_projection_op([so_basis(n)], [3])
+        ref = textbook_op(n, 3)
         assert np.array_equal(op.num, ref.num) and op.den == ref.den
 
     def test_sp2_alone_fails_bianchi(self):
@@ -145,7 +195,12 @@ class TestIsotropyProjection:
         sp2 = [fam.mats[p] for p in fam.pairs()]
         sp1 = list(quaternion_units(2))
         op = isotropy_projection_op([sp2, sp1], [4, 8])
-        ref, _ = quaternionic_op(2, 4)
+        ref = textbook_op(8, 1, quaternion_units(2))
+        assert np.array_equal(op.num, ref.num) and op.den == ref.den
+
+    def test_s8_model_is_constant_curvature_4(self):
+        op = build_model("s8").operator
+        ref = textbook_op(8, 4)
         assert np.array_equal(op.num, ref.num) and op.den == ref.den
 
 
@@ -212,11 +267,23 @@ class TestCcNormalization:
 
     def test_wrongly_scaled_cp4_fails_scalar_check(self):
         m = build_model("cp4")
-        op, _ = fubini_study_op(4, 4)  # scal 80, half the normalised value
+        op = isotropy_projection_op(model_ideals("cp4"), [2, 10])  # halved: scal 80
         report = verify_cc_normalization(op, m.structure)
         assert not report.passed
         kinds = {f.identity for f in report.failures}
         assert "scalar_curvature" in kinds
+
+    def test_form_orthogonality_doubles_the_orthogonality_residual(self):
+        # J_13 replaced by J_12: the one pair (1,2),(1,3) is not orthogonal
+        mats = dict(j_family(build_even_rep(3)).mats)
+        mats[(1, 3)] = mats[(1, 2)]
+        s = EvenCliffordStructure.from_matrices(4, 3, mats)
+        assert verify_orthogonality(s).failures == [
+            Failure("shared_index_orthogonality", (1, 2, 1, 3), "-4")
+        ]
+        report = verify_cc_normalization(constant_curvature(4, 2), s)
+        got = [f for f in report.failures if f.identity == "form_orthogonality"]
+        assert got == [Failure("form_orthogonality", (1, 2, 1, 3), "-8")]
 
 
 class TestRank4FormTransformation:
@@ -264,6 +331,72 @@ class TestCentralizers:
         assert linalg.rank(span) == 3
         for unit in quaternion_units(2):
             assert linalg.rank(np.vstack([span, linalg.skew_to_coords(unit)])) == 3
+
+    @pytest.mark.parametrize(
+        "args, expected",
+        [((5, 2), 10), ((6, 2), 4), ((3, 3), 21), ((10,), 1), ((12, 1, 0), 3)],
+        ids=["sp(2)", "u(2)", "sp(3)", "u(1) at r=10", "sp(1) at r=12"],
+    )
+    def test_commutant_type_table(self, args, expected):
+        # k copies of the irreducible module of type R, C, H: o(k), u(k), sp(k)
+        rep = build_even_rep(*args)
+        dim, basis = centralizer_dim(rep.generators)
+        assert dim == expected
+        for b in basis:
+            assert linalg.is_skew(b)
+            for g in rep.generators:
+                assert not linalg.commutator(b, g).any()
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            [],
+            [2 * EPS],
+            [EPS + linalg.eye(2)],
+            [EPS.astype(object)],
+            [EPS, np.kron(linalg.eye(2), EPS)],
+        ],
+        ids=["no generators", "doubled", "not a permutation", "object entries", "two sizes"],
+    )
+    def test_rejects_other_input(self, gens):
+        with pytest.raises(CurvatureError):
+            centralizer_dim(gens)
+
+
+def bareiss_commutant(gens):
+    """Oracle: the kernel of the stacked commutator system [E_p, G] over the
+    pair-coordinate space, by exact elimination."""
+    n = gens[0].shape[0]
+    m = n * (n - 1) // 2
+    basis = np.stack([linalg.coords_to_skew(e, n) for e in linalg.eye(m)])
+    stacked = np.concatenate([linalg.skew_to_coords(linalg.commutator(basis, g)).T for g in gens])
+    return linalg.nullspace(stacked)
+
+
+# (rank, multiplicities) of every even representation with n <= 8
+SMALL_EVEN_REPS = [
+    (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1, 0), (4, 0, 1), (4, 2, 0),
+    (4, 1, 1), (4, 0, 2), (5, 1), (6, 1), (7, 1), (8, 1, 0), (8, 0, 1),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_commutant_matches_the_elimination_oracle(data):
+    rep = build_even_rep(*data.draw(st.sampled_from(SMALL_EVEN_REPS), label="rep"))
+    n = rep.dim
+    q = np.zeros((n, n), dtype=np.int64)
+    q[data.draw(st.permutations(range(n))), range(n)] = data.draw(
+        st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)
+    )
+    chosen = data.draw(st.sets(st.sampled_from(range(len(rep.generators))), min_size=1), label="generators")
+    gens = [q @ rep.generators[i] @ q.T for i in sorted(chosen)]
+    dim, basis = centralizer_dim(gens)
+    kernel = bareiss_commutant(gens)
+    assert dim == len(kernel)
+    if dim:
+        coords = np.stack([linalg.skew_to_coords(b) for b in basis])
+        assert linalg.rank(coords) == dim == linalg.rank(np.vstack([coords, kernel]))
 
 
 class TestModelBookkeeping:
