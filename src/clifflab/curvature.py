@@ -56,7 +56,6 @@ class CurvatureOperator:
             raise CurvatureError(f"tensor shape {num.shape} does not match n={n}")
         self.n = n
         self.num, self.den = linalg.normalize(num.astype(np.int64), den)
-        self._pairs = linalg.pair_basis(n)
         if check:
             problems = self.symmetry_violations()
             if problems:
@@ -89,14 +88,10 @@ class CurvatureOperator:
         return self.num[a, b].T.copy()
 
     def rhat_matrix(self) -> tuple[np.ndarray, int]:
-        """Numerator and denominator of the pair-basis matrix of R^."""
-        idx = self._pairs
-        m = len(idx)
-        out = np.empty((m, m), dtype=np.int64)
-        for p, (a, b) in enumerate(idx):
-            for q, (c, d) in enumerate(idx):
-                out[p, q] = -self.num[a, b, c, d]
-        return out, self.den
+        """Numerator and denominator of the pair-basis matrix of R^: one
+        gather, the inverse of the scatter in ``isotropy_projection_op``."""
+        a, b = np.triu_indices(self.n, 1)
+        return -self.num[a[:, None], b[:, None], a[None, :], b[None, :]], self.den
 
     def rhat_apply(self, skew: np.ndarray) -> tuple[np.ndarray, int]:
         """R^ applied to a skew integer matrix; returns (numerator, den)."""
@@ -290,19 +285,17 @@ def verify_parallel_identities(
     mats = _family_stacks(s)
     pairs0 = linalg.pair_basis(n)
     curv = np.stack([op.curvature_matrix(a, b) for (a, b) in pairs0])
+    minus_one = -linalg.eye(n)
     for (i, j) in s.pairs():
         jmat = mats[(i, j)]
         lhs = linalg.imatmul(curv, jmat) - linalg.imatmul(jmat[None, :, :], curv)
-        rhs = np.zeros_like(lhs)
-        for sdx in range(1, r + 1):
-            if sdx != i:
-                coeff = linalg.skew_to_coords(mats[(sdx, i)])
-                target = mats[(sdx, j)] if sdx != j else -linalg.eye(n)
-                rhs += np.einsum("p,ab->pab", coeff, target)
-            if sdx != j:
-                coeff = linalg.skew_to_coords(mats[(sdx, j)])
-                target = mats[(i, sdx)] if sdx != i else -linalg.eye(n)
-                rhs += np.einsum("p,ab->pab", coeff, target)
+        # the sum over s as one product: the coordinates of J_si and J_sj
+        # against the matrices J_sj and J_is they multiply
+        terms = [(mats[(x, i)], mats[(x, j)] if x != j else minus_one) for x in range(1, r + 1) if x != i]
+        terms += [(mats[(x, j)], mats[(i, x)] if x != i else minus_one) for x in range(1, r + 1) if x != j]
+        coeffs = linalg.skew_to_coords(np.stack([c for c, _ in terms]))
+        targets = np.stack([t for _, t in terms]).reshape(len(terms), -1)
+        rhs = linalg.imatmul(coeffs.T, targets).reshape(lhs.shape)
         residual = kappa.denominator * lhs - kappa.numerator * den * rhs
         if residual.any():
             bad = int(np.abs(residual.reshape(len(pairs0), -1)).max(axis=1).argmax())
@@ -326,14 +319,20 @@ def verify_parallel_identities(
         )
 
     # Ricci system: 0 = Ric + (n/4 - 2) J_ij w_ij + sum_s [J_si w_si + J_sj w_sj]
+    # with J_sx^2 = J_xs^2, each square formed once
+    squares = {p: linalg.imatmul(mats[p], mats[p]) for p in s.pairs()}
+
+    def square(x: int, y: int) -> np.ndarray:
+        return squares[(min(x, y), max(x, y))]
+
     for (i, j) in s.pairs():
         acc = 4 * kappa.denominator * ric.astype(np.int64)
-        acc = acc + (n - 8) * kappa.numerator * den * linalg.imatmul(mats[(i, j)], mats[(i, j)])
+        acc = acc + (n - 8) * kappa.numerator * den * square(i, j)
         for sdx in range(1, r + 1):
             if sdx != i:
-                acc = acc + 4 * kappa.numerator * den * linalg.imatmul(mats[(sdx, i)], mats[(sdx, i)])
+                acc = acc + 4 * kappa.numerator * den * square(sdx, i)
             if sdx != j:
-                acc = acc + 4 * kappa.numerator * den * linalg.imatmul(mats[(sdx, j)], mats[(sdx, j)])
+                acc = acc + 4 * kappa.numerator * den * square(sdx, j)
         if acc.any():
             failures.append(
                 Failure(

@@ -81,6 +81,11 @@ def signed_perm_matrix(perm: np.ndarray, sign: np.ndarray) -> np.ndarray:
     return out
 
 
+def scalar_columns(n: int, s: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Column form of s times the n x n identity, s = +-1."""
+    return np.arange(n), np.full(n, s, dtype=np.int64)
+
+
 def compose_columns(a, b) -> tuple[np.ndarray, np.ndarray]:
     """Column form of the product A B of two column forms."""
     (pa, sa), (pb, sb) = a, b

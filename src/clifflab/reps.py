@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -25,7 +25,10 @@ from . import linalg
 from .blades import AlgebraSignature, CliffordElement, volume_element
 
 DEFAULT_MAX_RANK = 16
-HARD_MAX_RANK = 24
+# up to r = 23 (n = 2048) the relation and orthogonality suites take about
+# 3 s and under 0.8 GB, set by the dense generators; the 23 generators of
+# r = 24 (n = 4096) alone would take 3.1 GB
+HARD_MAX_RANK = 23
 
 _BASE_DIMS = (2, 4, 4, 8, 8, 8, 8, 16)
 
@@ -94,7 +97,7 @@ def _base_generators(r: int) -> list[np.ndarray]:
     if r <= 3:
         gens = [_kron(_EPS, _TAU), _kron(_EPS, _SIG), _kron(_I2, _EPS)]
         if r == 1:
-            return [_EPS]
+            return [_EPS.copy()]
         return gens[:r]
     if r <= 7:
         a1, a2, a3 = _base_generators(3)
@@ -128,8 +131,8 @@ def _generators_with_volume_sign(r: int, sign: int) -> list[np.ndarray]:
     if r % 4 != 3:
         raise RepresentationError(f"rank {r}: the volume is a central involution only for r = 3 mod 4")
     gens = _base_generators(r)
-    (vol,) = _products(gens, [range(len(gens))])
     n = gens[0].shape[0]
+    vol = _word_matrix(gens, [linalg.signed_perm_columns(g) for g in gens], range(len(gens)))
     if np.array_equal(vol, sign * linalg.eye(n)):
         return gens
     if not np.array_equal(vol, -sign * linalg.eye(n)):
@@ -138,6 +141,10 @@ def _generators_with_volume_sign(r: int, sign: int) -> list[np.ndarray]:
 
 
 def _block_diag(mats: list[np.ndarray]) -> np.ndarray:
+    """The block-diagonal matrix of ``mats``; a single block is returned as
+    it is, not copied, so a one-copy rep holds its generators only once."""
+    if len(mats) == 1:
+        return mats[0]
     n = sum(m.shape[0] for m in mats)
     out = linalg.zeros(n)
     at = 0
@@ -161,6 +168,12 @@ class MatrixRep:
     kind: str
     generators: tuple[np.ndarray, ...]
     volume_split: tuple[int, int] | None = None
+
+    @cached_property
+    def columns(self) -> tuple:
+        """The column form of each generator, certified once; None where a
+        generator is not a signed permutation."""
+        return tuple(linalg.signed_perm_columns(g) for g in self.generators)
 
     def validate(self) -> list[str]:
         """Check the structural invariants; returns a list of violations."""
@@ -277,7 +290,8 @@ def build_even_rep(r: int, m_plus: int = 1, m_minus: int | None = None) -> Matri
             raise RepresentationError("need m_plus + m_minus >= 1")
         s = _even_volume_factor_sign(r)
         plus_family = _generators_with_volume_sign(q, s)
-        minus_family = _generators_with_volume_sign(q, -s)
+        # flipping one generator flips the volume
+        minus_family = plus_family[:-1] + [-plus_family[-1]]
         gens = tuple(
             _block_diag([plus_family[i]] * m_plus + [minus_family[i]] * m_minus)
             for i in range(q)
@@ -309,33 +323,51 @@ def _even_to_generator_word(x: CliffordElement) -> CliffordElement:
     """Rewrite an even element of Cl_r in the generators f_i = e_1 e_{i+1}.
 
     Returns the corresponding element of Cl_{r-1} (f_i maps to its i-th
-    generator): e_1 e_j -> f_{j-1} and e_i e_j -> f_{i-1} f_{j-1} for i > 1.
+    generator).  Since e_1 e_b = f_{b-1} and e_a e_b = f_{a-1} f_{b-1}
+    (e_1^2 = -1), an even blade e_a1 ... e_a2k is the blade of indices
+    a_t - 1, index 0 dropped, with the same coefficient: on blade masks, a
+    shift right by one bit.
     """
-    r = x.signature.rank
-    low = AlgebraSignature(r - 1)
-    out = CliffordElement.zero(low)
-    for indices, coeff in x.items():
-        term = CliffordElement.scalar(low, coeff)
-        for k in range(0, len(indices), 2):
-            a, b = indices[k], indices[k + 1]
-            if a == 1:
-                pair = CliffordElement.blade(low, (b - 1,))
-            else:
-                pair = CliffordElement.blade(low, (a - 1, b - 1))
-            term = term * pair
-        out = out + term
-    return out
+    low = AlgebraSignature(x.signature.rank - 1)
+    return CliffordElement(low, {mask >> 1: coeff for mask, coeff in x._terms.items()})
 
 
-def _evaluate_word(generators, x: CliffordElement) -> np.ndarray:
-    """Sum over the terms, on numerators over the lcm of the coefficient
+def _word_columns(cols, word, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Column form of the product of the factors cols[w] over ``word`` (the
+    identity for the empty word); None when some factor is not certified."""
+    forms = [cols[w] for w in word]
+    if any(f is None for f in forms):
+        return None
+    return reduce(linalg.compose_columns, forms) if forms else linalg.scalar_columns(n)
+
+
+def _word_matrix(mats, cols, word) -> np.ndarray:
+    """The exact product of mats[w] over ``word``: composed in column form
+    and scattered once when every factor is certified (cols[w] its column
+    form or None), else multiplied through ``linalg.imatmul``."""
+    n = mats[0].shape[0]
+    prod = _word_columns(cols, word, n)
+    if prod is not None:
+        return linalg.signed_perm_matrix(*prod)
+    return reduce(linalg.imatmul, (mats[w] for w in word), linalg.eye(n))
+
+
+def _blade_word(rep: MatrixRep, indices) -> tuple[int, ...]:
+    """The generator positions whose product represents the blade e_indices:
+    e_a -> a - 1 for a full rep; for an even rep the index-shift rule of
+    ``_even_to_generator_word``, e_a -> a - 2 with e_1 dropped."""
+    if rep.kind == "full":
+        return tuple(a - 1 for a in indices)
+    return tuple(a - 2 for a in indices if a != 1)
+
+
+def _evaluate_word(rep: MatrixRep, x: CliffordElement) -> np.ndarray:
+    """Sum over the terms of x, an element of Cl_k whose generator i maps to
+    rep.generators[i - 1], on numerators over the lcm of the coefficient
     denominators; an integral result comes back as an integer matrix."""
-    n = generators[0].shape[0]
-    words = (
-        (coeff, reduce(linalg.imatmul, (generators[i - 1] for i in indices), linalg.eye(n)))
-        for indices, coeff in x.items()
-    )
-    num, den = linalg.rational_combination(words, n)
+    gens, cols = rep.generators, rep.columns
+    words = ((coeff, _word_matrix(gens, cols, [i - 1 for i in indices])) for indices, coeff in x.items())
+    num, den = linalg.rational_combination(words, rep.dim)
     return num if den == 1 else linalg.fraction_array(num, den)
 
 
@@ -346,23 +378,51 @@ def evaluate(rep: MatrixRep, x: CliffordElement) -> np.ndarray:
             f"element has rank {x.signature.rank}, representation has {rep.rank}"
         )
     if rep.kind == "full":
-        return _evaluate_word(rep.generators, x)
+        return _evaluate_word(rep, x)
     if not x.is_even():
         raise ParityError("representation of the even algebra cannot act on odd elements")
-    word = _even_to_generator_word(x)
-    return _evaluate_word(rep.generators, word)
+    return _evaluate_word(rep, _even_to_generator_word(x))
 
 
-@dataclass(frozen=True)
+def blade_columns(rep: MatrixRep, indices) -> tuple[np.ndarray, np.ndarray] | None:
+    """Column form of the image of the blade e_indices (even for an even
+    rep); None unless every generator of its word is certified."""
+    return _word_columns(rep.columns, _blade_word(rep, indices), rep.dim)
+
+
 class JFamily:
     """The skew endomorphisms J_ij = phi(e_i . e_j), 1 <= i < j <= r.
 
-    Extended by J_ji = -J_ij and J_ii = -identity.
+    Extended by J_ji = -J_ij and J_ii = -identity.  A family of signed
+    permutations is stored in column form: ``columns`` is (perm, sign), two
+    arrays of shape (pairs, n) in ``pairs()`` order, with
+    J_ij e_c = sign[t, c] e_{perm[t, c]} for (i, j) = pairs()[t].  The dense
+    int64 matrices of ``mats`` and ``j`` are made from it on first use and
+    cached.  A family given as matrices is certified once, here; one that
+    fails the certificate keeps dense storage and ``columns`` is None.  The
+    family is not to be changed after construction.
     """
 
-    n: int
-    r: int
-    mats: dict = field(repr=False)
+    def __init__(self, n: int, r: int, mats: dict | None = None, columns=None):
+        self.n = n
+        self.r = r
+        self._mats = mats
+        if mats is None:
+            self._pairs = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
+        else:
+            self._pairs = sorted(mats)
+            columns = _stack_columns([mats[p] for p in self._pairs], n)
+        self.columns = columns
+
+    def __repr__(self) -> str:
+        return f"JFamily(n={self.n}, r={self.r}, {'dense' if self.columns is None else 'columns'})"
+
+    @property
+    def mats(self) -> dict:
+        if self._mats is None:
+            perm, sign = self.columns
+            self._mats = {p: linalg.signed_perm_matrix(perm[t], sign[t]) for t, p in enumerate(self._pairs)}
+        return self._mats
 
     def j(self, i: int, j: int) -> np.ndarray:
         if i == j:
@@ -372,43 +432,40 @@ class JFamily:
         return -self.mats[(j, i)]
 
     def pairs(self):
-        return sorted(self.mats)
+        return list(self._pairs)
 
     def span_dimension(self) -> int:
         return linalg.rank(np.stack([linalg.skew_to_coords(self.mats[p]) for p in self.pairs()]))
 
 
-def _products(gens, words) -> list[np.ndarray]:
-    """Exact products gens[w0] gens[w1] ... of nonempty index words.
-
-    Signed-permutation factors compose in column form, O(n) per factor, and
-    are scattered into one dense int64 matrix; a word with any other factor
-    is multiplied through ``linalg.imatmul``.
-    """
-    cols = [linalg.signed_perm_columns(g) for g in gens] if words else []
-    out = []
-    for word in words:
-        if all(cols[w] is not None for w in word):
-            out.append(linalg.signed_perm_matrix(*reduce(linalg.compose_columns, (cols[w] for w in word))))
-        else:
-            out.append(reduce(linalg.imatmul, (gens[w] for w in word)))
-    return out
+def _stack_columns(mats, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The column forms of n x n matrices stacked into (perm, sign) arrays of
+    shape (len(mats), n); None unless every matrix is certified."""
+    perm = np.empty((len(mats), n), dtype=np.intp)
+    sign = np.empty((len(mats), n), dtype=np.int64)
+    for t, m in enumerate(mats):
+        cols = linalg.signed_perm_columns(m) if np.shape(m) == (n, n) else None
+        if cols is None:
+            return None
+        perm[t], sign[t] = cols
+    return perm, sign
 
 
 def j_family(rep: MatrixRep) -> JFamily:
-    r = rep.rank
-    gens = rep.generators
-    mats = {}
-    if rep.kind == "full":
-        keys = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
-        words = [(i - 1, j - 1) for i, j in keys]
-    else:
-        for j in range(2, r + 1):
-            mats[(1, j)] = gens[j - 2]
-        keys = [(i, j) for i in range(2, r + 1) for j in range(i + 1, r + 1)]
-        words = [(i - 2, j - 2) for i, j in keys]
-    mats.update(zip(keys, _products(gens, words)))
-    return JFamily(rep.dim, r, mats)
+    """J_ij, the image of the blade e_i e_j: g_i g_j for a full rep, and
+    J_1j = g_j, J_ij = g_i g_j (i > 1) for an even one, with g_i the
+    generator of e_i or of f_{i-1}.
+
+    Certified generators are composed and stored in column form, and no
+    J_ij is made dense; otherwise the products are dense.
+    """
+    r, n = rep.rank, rep.dim
+    pairs = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
+    words = [_blade_word(rep, p) for p in pairs]
+    if any(c is None for c in rep.columns):
+        return JFamily(n, r, {p: _word_matrix(rep.generators, rep.columns, w) for p, w in zip(pairs, words)})
+    forms = [_word_columns(rep.columns, w, n) for w in words]
+    return JFamily(n, r, columns=(np.stack([f[0] for f in forms]), np.stack([f[1] for f in forms])))
 
 
 # -- triality ----------------------------------------------------------------

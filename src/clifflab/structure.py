@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .blades import AlgebraSignature, CliffordElement, hodge_dual_vector, volume_element, volume_square_sign
-from .reps import JFamily, MatrixRep, UnsupportedRankError, evaluate, j_family
+from .reps import JFamily, MatrixRep, UnsupportedRankError, blade_columns, evaluate, j_family
 
 
 class StructureError(ValueError):
@@ -200,34 +200,19 @@ def verify_relations(s: EvenCliffordStructure) -> VerificationReport:
     return VerificationReport("relations", failures)
 
 
-def _family_columns(s: EvenCliffordStructure) -> tuple[np.ndarray, np.ndarray] | None:
-    """Column forms of the J_ij in ``s.pairs()`` order, stacked into (perm,
-    sign) arrays of shape (pairs, n); None unless every J_ij is a signed
-    permutation."""
-    pairs = s.pairs()
-    perm = np.empty((len(pairs), s.n), dtype=np.intp)
-    sign = np.empty((len(pairs), s.n), dtype=np.int64)
-    for t, key in enumerate(pairs):
-        cols = linalg.signed_perm_columns(s.family.mats[key])
-        if cols is None:
-            return None
-        perm[t], sign[t] = cols
-    return perm, sign
-
-
 def _verify_relations_signed_perm(s: EvenCliffordStructure) -> list[Failure] | None:
-    """The relation suite on column forms: A e_c = a[c] e_{p[c]}, and the
-    product A B has perm p_A[p_B] and sign b * a[p_B].
+    """The relation suite on the stored column forms: A e_c = a[c] e_{p[c]},
+    and the product A B has perm p_A[p_B] and sign b * a[p_B].
 
     Each identity family is one gather over a batch, compared by masks;
     only failing identities are densified, for their residual.  Each family
     is checked in its own function, so its temporaries are freed before
-    the next one.  Returns None when some J_ij is not a signed permutation.
+    the next one.  Returns None when the family is stored dense.
     """
-    cols = _family_columns(s)
+    cols = s.family.columns
     if cols is None:
         return None
-    failures = _square_failures(s, *cols)
+    failures = _square_failures(s.pairs(), *cols)
     if s.r >= 3:
         failures += _shared_index_failures(s.r, s.pairs(), *cols)
         failures += _disjoint_failures(s.pairs(), *cols)
@@ -238,57 +223,65 @@ def _perm_residual(p: np.ndarray, sg: np.ndarray, q: np.ndarray, sq: np.ndarray)
     return format_residual(linalg.signed_perm_matrix(p, sg) - linalg.signed_perm_matrix(q, sq))
 
 
-def _square_failures(s: EvenCliffordStructure, perm: np.ndarray, sign: np.ndarray) -> list[Failure]:
+def _square_failures(pairs, perm: np.ndarray, sign: np.ndarray) -> list[Failure]:
     """Skewness and unit squares.  A signed permutation is orthogonal, so
     A^T = -A exactly when A^2 = -1, that is when p[p] = id and a[p] = -a."""
-    pairs = s.pairs()
+    n = perm.shape[1]
     stack = np.arange(len(pairs)).reshape(-1, 1)
     sq_perm, sq_sign = perm[stack, perm], sign * sign[stack, perm]
     failures = []
-    for t in np.flatnonzero(~((sq_perm == np.arange(s.n)).all(axis=1) & (sq_sign == -1).all(axis=1))):
-        m = s.family.mats[pairs[t]]
+    for t in np.flatnonzero(~((sq_perm == np.arange(n)).all(axis=1) & (sq_sign == -1).all(axis=1))):
+        m = linalg.signed_perm_matrix(perm[t], sign[t])
         failures.append(Failure("skew_symmetry", pairs[t], format_residual(m + m.T)))
         square = linalg.signed_perm_matrix(sq_perm[t], sq_sign[t])
-        failures.append(Failure("unit_square", pairs[t], format_residual(square + linalg.eye(s.n))))
+        failures.append(Failure("unit_square", pairs[t], format_residual(square + linalg.eye(n))))
     return failures
 
 
-def _shared_index_failures(r: int, pairs, perm: np.ndarray, sign: np.ndarray) -> list[Failure]:
-    """J_ij J_ik = J_jk for distinct i, j, k: one gather per i over all (j, k)."""
-    # every ordered pair (i, j), i != j; J_ji = -J_ij has the same perm
+def _frame_triples(r: int, pairs, perm: np.ndarray, sign: np.ndarray, diagonal: bool):
+    """The violations of J_ij J_il = J_jl (i, j, l distinct) on column forms,
+    with the unit squares J_ij J_ij = -1 (j = l) too when ``diagonal``:
+    one gather per i over all (j, l).
+
+    Yields (i, j, l) and the column forms of both sides, in that order.
+    """
+    # every ordered pair (i, j), i != j (J_ji = -J_ij has the same perm),
+    # then one row for -1, the right side at j = l
     row = {p: t for t, p in enumerate(pairs)}
     order = [(i, j) for i in range(1, r + 1) for j in range(1, r + 1) if i != j]
     pos = {p: t for t, p in enumerate(order)}
     rows = [row[(min(p), max(p))] for p in order]
     flip = np.array([1 if i < j else -1 for i, j in order], dtype=np.int64).reshape(-1, 1)
-    o_perm, o_sign = perm[rows], flip * sign[rows]
+    minus_perm, minus_sign = linalg.scalar_columns(perm.shape[1], -1)
+    o_perm = np.concatenate([perm[rows], minus_perm[None]])
+    o_sign = np.concatenate([flip * sign[rows], minus_sign[None]])
 
     left = np.arange(r - 1).reshape(-1, 1, 1)
     off_diagonal = ~np.eye(r - 1, dtype=bool)
-    failures = []
     for i in range(1, r + 1):
         js = [j for j in range(1, r + 1) if j != i]
         sel = [pos[(i, j)] for j in js]
         p_i, s_i = o_perm[sel], o_sign[sel]
-        # J_jk for each (j, k); the diagonal j = k is no identity and is masked
-        target = np.array([[pos.get((j, k), 0) for k in js] for j in js])
+        target = np.array([[pos.get((j, k), len(order)) for k in js] for j in js])
         # perms, then signs: one (r-1, r-1, n) temporary at a time
         got_perm = p_i[left, p_i[None]]
         bad = (got_perm != o_perm[target]).any(axis=2)
         got_sign = s_i[left, p_i[None]]
         got_sign *= s_i[None]
         bad |= (got_sign != o_sign[target]).any(axis=2)
-        bad &= off_diagonal
+        if not diagonal:
+            bad &= off_diagonal
         for a, b in zip(*np.nonzero(bad)):
             t = target[a, b]
-            failures.append(
-                Failure(
-                    "shared_index_composition",
-                    (i, js[a], js[b]),
-                    _perm_residual(got_perm[a, b], got_sign[a, b], o_perm[t], o_sign[t]),
-                )
-            )
-    return failures
+            yield (i, js[a], js[b]), (got_perm[a, b], got_sign[a, b]), (o_perm[t], o_sign[t])
+
+
+def _shared_index_failures(r: int, pairs, perm: np.ndarray, sign: np.ndarray) -> list[Failure]:
+    """J_ij J_ik = J_jk for distinct i, j, k."""
+    return [
+        Failure("shared_index_composition", triple, _perm_residual(*got, *want))
+        for triple, got, want in _frame_triples(r, pairs, perm, sign, diagonal=False)
+    ]
 
 
 def _disjoint_failures(pairs, perm: np.ndarray, sign: np.ndarray) -> list[Failure]:
@@ -373,7 +366,7 @@ def verify_orthogonality(s: EvenCliffordStructure) -> VerificationReport:
     """
     pairs = s.pairs()
     checked = [(x, y) for x in range(len(pairs)) for y in range(x + 1, len(pairs))]
-    cols = _family_columns(s)
+    cols = s.family.columns
     if cols is None:
         traces = linalg.trace_products([s.family.mats[p] for p in pairs], checked)
     else:
@@ -602,18 +595,42 @@ class EvenAlgebraMorphism:
     """Algebra morphism Cl0_k -> matrices, built from images of 2-forms.
 
     Blades map to products of sigma matrices, where sigma_ij is the image of
-    the Clifford product e_i . e_j (so sigma_ii = -identity).
+    the Clifford product e_i . e_j: J_ij of the family for i != j, and
+    -identity for i = j.  When the family is stored in column form, the
+    factors of a blade are composed in column form and scattered once.
     """
 
-    def __init__(self, k: int, n: int, sigma: dict):
+    def __init__(self, k: int, n: int, family: JFamily):
         self.k = k
         self.n = n
-        self._sigma = sigma
+        self.family = family
+        self._row = {p: t for t, p in enumerate(family.pairs())}
 
-    def on_blade(self, indices: Sequence[int]) -> np.ndarray:
+    def _factors(self, indices: Sequence[int]) -> list[tuple[int, int]]:
         if len(indices) % 2:
             raise StructureError("morphism of the even algebra: blades must be even")
-        factors = (self._sigma[(indices[t], indices[t + 1])] for t in range(0, len(indices), 2))
+        return [(indices[t], indices[t + 1]) for t in range(0, len(indices), 2)]
+
+    def _sigma_columns(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        if i == j:
+            return linalg.scalar_columns(self.n, -1)
+        perm, sign = self.family.columns
+        t = self._row[(min(i, j), max(i, j))]
+        return perm[t], sign[t] if i < j else -sign[t]
+
+    def blade_columns(self, indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray] | None:
+        """Column form of the image of the blade; None for a dense family."""
+        factors = self._factors(indices)
+        if self.family.columns is None:
+            return None
+        sigmas = (self._sigma_columns(i, j) for i, j in factors)
+        return reduce(linalg.compose_columns, sigmas, linalg.scalar_columns(self.n))
+
+    def on_blade(self, indices: Sequence[int]) -> np.ndarray:
+        cols = self.blade_columns(indices)
+        if cols is not None:
+            return linalg.signed_perm_matrix(*cols)
+        factors = (self.family.j(i, j) for i, j in self._factors(indices))
         return reduce(linalg.imatmul, factors, linalg.eye(self.n))
 
     def __call__(self, x: CliffordElement) -> np.ndarray:
@@ -627,30 +644,8 @@ class EvenAlgebraMorphism:
         return num if den == 1 else linalg.fraction_array(num, den)
 
 
-def universal_extension(
-    phi: Mapping[tuple[int, int], np.ndarray], k: int, n: int | None = None
-) -> EvenAlgebraMorphism:
-    """Extend a linear map on 2-forms to the even Clifford algebra, or reject.
-
-    The criterion is checked on every frame triple (u = e_i; v = e_j, w = e_l
-    with j, l distinct from i):
-
-        phi(e_i ^ e_j) phi(e_i ^ e_l) = phi(e_j ^ e_l) - <e_j, e_l> id.
-
-    The frame triples decide it: for arbitrary u, v, w the polarized identity
-    sigma(u,v) + sigma(v,u) = -2<u,v> id holds because phi is skew, and
-    sigma(v,u) sigma(u,w) = -<u,u> sigma(v,w) expands in u into frame cases
-    plus cross terms u_a u_b that cancel by the frame identity at i = a.
-    Rejection carries the first witnessing triple; after acceptance the
-    morphism is returned.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k < 2:
-        if n is None:
-            raise ValueError("for k < 2 the target dimension n is required")
-        return EvenAlgebraMorphism(k, n, {})
-
+def _map_family(phi: Mapping[tuple[int, int], np.ndarray], k: int, n: int | None) -> JFamily:
+    """The images phi(e_i ^ e_j), i < j <= k, as a family (certified there)."""
     mats = {}
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
@@ -662,33 +657,55 @@ def universal_extension(
                 raise StructureError(f"phi{(i, j)}: {err}") from None
     if n is None:
         n = mats[(1, 2)].shape[0]
-    ident = linalg.eye(n)
+    return JFamily(n, k, mats)
 
-    def phi_of(i: int, j: int) -> np.ndarray:
-        if i == j:
-            return linalg.zeros(n)
-        return mats[(i, j)] if i < j else -mats[(j, i)]
 
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            if j == i:
-                continue
-            for l in range(1, k + 1):
-                if l == i:
-                    continue
-                want = phi_of(j, l) - (ident if j == l else 0)
-                if not np.array_equal(linalg.imatmul(phi_of(i, j), phi_of(i, l)), want):
-                    raise ExtensionRejected(
-                        (i, j, l),
-                        f"extension criterion fails at u=e_{i}, v=e_{j}, w=e_{l}",
-                    )
+def universal_extension(
+    phi: JFamily | Mapping[tuple[int, int], np.ndarray], k: int, n: int | None = None
+) -> EvenAlgebraMorphism:
+    """Extend a linear map on 2-forms to the even Clifford algebra, or reject.
 
-    sigma = {
-        (i, j): phi_of(i, j) - (ident if i == j else 0)
-        for i in range(1, k + 1)
-        for j in range(1, k + 1)
-    }
-    return EvenAlgebraMorphism(k, n, sigma)
+    ``phi`` is a family of rank k, or a mapping (i, j) -> phi(e_i ^ e_j) for
+    every i < j <= k.  The criterion is checked on every frame triple
+    (u = e_i; v = e_j, w = e_l with j, l distinct from i):
+
+        phi(e_i ^ e_j) phi(e_i ^ e_l) = phi(e_j ^ e_l) - <e_j, e_l> id.
+
+    The frame triples decide it: for arbitrary u, v, w the polarized identity
+    sigma(u,v) + sigma(v,u) = -2<u,v> id holds because phi is skew, and
+    sigma(v,u) sigma(u,w) = -<u,u> sigma(v,w) expands in u into frame cases
+    plus cross terms u_a u_b that cancel by the frame identity at i = a.
+    A family in column form is checked in batched gathers, one per i, any
+    other by exact products.  Rejection carries the first witnessing triple
+    in (i, j, l) order; after acceptance the morphism is returned.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if k < 2:
+        if n is None:
+            raise ValueError("for k < 2 the target dimension n is required")
+        return EvenAlgebraMorphism(k, n, JFamily(n, k, {}))
+    fam = phi if isinstance(phi, JFamily) else _map_family(phi, k, n)
+    if fam.r != k:
+        raise StructureError(f"a rank-{fam.r} family is no map on the 2-forms of rank {k}")
+
+    if fam.columns is not None:
+        witness = next((t for t, _, _ in _frame_triples(k, fam.pairs(), *fam.columns, diagonal=True)), None)
+    else:
+        triples = ((i, j, l) for i in range(1, k + 1) for j in range(1, k + 1) for l in range(1, k + 1))
+        # J_jj = -id is the right side at j = l
+        witness = next(
+            (
+                (i, j, l)
+                for i, j, l in triples
+                if i not in (j, l) and not np.array_equal(linalg.imatmul(fam.j(i, j), fam.j(i, l)), fam.j(j, l))
+            ),
+            None,
+        )
+    if witness is not None:
+        i, j, l = witness
+        raise ExtensionRejected(witness, f"extension criterion fails at u=e_{i}, v=e_{j}, w=e_{l}")
+    return EvenAlgebraMorphism(k, fam.n, fam)
 
 
 def verify_universality(
@@ -699,9 +716,11 @@ def verify_universality(
     A structure backed by a representation must also agree with the
     extension on every even blade, and every given pair (a, b) of even
     elements with integer coefficients must multiply: ext(a b) = ext(a) ext(b).
+    A blade whose two images are both certified is compared in column form
+    and densified only for its residual.
     """
     try:
-        ext = universal_extension(s.family.mats, s.r, s.n)
+        ext = universal_extension(s.family, s.r, s.n)
     except ExtensionRejected as err:
         return VerificationReport("universality", [Failure("extension_criterion", err.witness, str(err))])
     failures = []
@@ -711,10 +730,17 @@ def verify_universality(
             if mask.bit_count() % 2:
                 continue
             indices = tuple(i + 1 for i in range(s.r) if mask >> i & 1)
-            elem = CliffordElement.blade(sig, indices)
-            got, want = ext(elem), evaluate(s.rep, elem)
-            if not np.array_equal(got, want):
-                failures.append(Failure("blade_round_trip", indices, format_residual(got - want)))
+            got, want = ext.blade_columns(indices), blade_columns(s.rep, indices)
+            if got is not None and want is not None:
+                if all(np.array_equal(x, y) for x, y in zip(got, want)):
+                    continue
+                got, want = linalg.signed_perm_matrix(*got), linalg.signed_perm_matrix(*want)
+            else:
+                elem = CliffordElement.blade(sig, indices)
+                got, want = ext(elem), evaluate(s.rep, elem)
+                if np.array_equal(got, want):
+                    continue
+            failures.append(Failure("blade_round_trip", indices, format_residual(got - want)))
     for t, (a, b) in enumerate(products):
         got, want = ext(a * b), linalg.imatmul(ext(a), ext(b))
         if not np.array_equal(got, want):

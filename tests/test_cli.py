@@ -43,6 +43,18 @@ class TestRepgen:
         code = run_cli("repgen", "--rank", "30", "--out", str(tmp_path / "x.json"))
         assert code == 2
 
+    def test_ranks_above_the_hard_ceiling_are_refused(self, tmp_path, monkeypatch, capsys):
+        # r = 24 would hold 23 dense 4096 x 4096 generators (3.1 GB); it is
+        # refused before anything is built, whatever the cap asks
+        monkeypatch.setenv("CLIFFLAB_MAX_RANK", "24")
+        out = tmp_path / "x.json"
+        assert run_cli("repgen", "--rank", "24", "--kind", "even", "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: rank 24 exceeds the configured cap 23"
+            " (set CLIFFLAB_MAX_RANK to raise it, hard ceiling 23)\n"
+        )
+        assert not out.exists()
+
 
 class TestVerify:
     def test_all_suites_pass_for_built_structure(self, tmp_path):

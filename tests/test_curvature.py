@@ -249,6 +249,24 @@ class TestParallelIdentities:
         assert good.passed and not bad.passed
 
 
+def rhat_by_loop(op):
+    """The pair-basis matrix of R^ entry by entry, as it was first written."""
+    idx = linalg.pair_basis(op.n)
+    out = np.empty((len(idx), len(idx)), dtype=np.int64)
+    for p, (a, b) in enumerate(idx):
+        for q, (c, d) in enumerate(idx):
+            out[p, q] = -op.num[a, b, c, d]
+    return out
+
+
+@pytest.mark.parametrize("name", ["s8", "cp4", "hp2", "op2"])
+def test_rhat_gather_matches_the_loop(name):
+    op = build_model(name).operator
+    rhat, den = op.rhat_matrix()
+    want = rhat_by_loop(op)
+    assert rhat.dtype == want.dtype and np.array_equal(rhat, want) and den == op.den
+
+
 class TestCcNormalization:
     @pytest.mark.parametrize("name", ["s8", "cp4", "hp2"])
     def test_models_pass(self, name):

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clifflab import linalg, reps
 from clifflab.blades import AlgebraSignature, CliffordElement, volume_element
@@ -224,7 +226,81 @@ class TestEvaluate:
         )
 
 
+def generator_word_by_products(x):
+    """The even element x of Cl_r in the generators f_i = e_1 e_{i+1}, as a
+    product of the images of its index pairs, as it was first written."""
+    low = AlgebraSignature(x.signature.rank - 1)
+    out = CliffordElement.zero(low)
+    for indices, coeff in x.items():
+        term = CliffordElement.scalar(low, coeff)
+        for k in range(0, len(indices), 2):
+            a, b = indices[k], indices[k + 1]
+            pair = (b - 1,) if a == 1 else (a - 1, b - 1)
+            term = term * CliffordElement.blade(low, pair)
+        out = out + term
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_index_shift_matches_the_product_rewrite(data):
+    r = data.draw(st.integers(2, 10), label="r")
+    sig = AlgebraSignature(r)
+    x = CliffordElement.zero(sig)
+    for _ in range(data.draw(st.integers(0, 6), label="terms")):
+        k = 2 * data.draw(st.integers(0, r // 2))
+        indices = sorted(data.draw(st.lists(st.integers(1, r), min_size=k, max_size=k, unique=True)))
+        coeff = Fraction(data.draw(st.integers(-5, 5)), data.draw(st.integers(1, 4)))
+        x = x + CliffordElement.blade(sig, indices, coeff)
+    assert reps._even_to_generator_word(x) == generator_word_by_products(x)
+
+
+def dense_family(rep):
+    """J_ij as dense products of the generators, as j_family first built them."""
+    g, r = rep.generators, rep.rank
+    if rep.kind == "full":
+        return {(i, j): g[i - 1] @ g[j - 1] for i in range(1, r + 1) for j in range(i + 1, r + 1)}
+    mats = {(1, j): g[j - 2] for j in range(2, r + 1)}
+    mats.update({(i, j): g[i - 2] @ g[j - 2] for i in range(2, r + 1) for j in range(i + 1, r + 1)})
+    return mats
+
+
 class TestJFamily:
+    @pytest.mark.parametrize("r", range(2, 17))
+    def test_columns_are_stored_and_mats_are_the_dense_products(self, r):
+        rep = build_even_rep(r)
+        fam = j_family(rep)
+        perm, sign = fam.columns
+        assert perm.shape == sign.shape == (r * (r - 1) // 2, rep.dim)
+        want = dense_family(rep)
+        assert list(fam.mats) == fam.pairs() == sorted(want)
+        for key, m in fam.mats.items():
+            assert m.dtype == np.int64 and np.array_equal(m, want[key]), key
+        assert fam.mats is fam.mats
+
+    @pytest.mark.parametrize("r", [2, 5, 8])
+    def test_full_rep_family(self, r):
+        rep = build_clifford_rep(r)
+        fam = j_family(rep)
+        assert fam.columns is not None
+        want = dense_family(rep)
+        assert all(np.array_equal(fam.mats[k], want[k]) for k in want)
+
+    def test_uncertified_matrices_keep_dense_storage(self):
+        mats = dict(j_family(build_even_rep(3)).mats)
+        assert reps.JFamily(4, 3, mats).columns is not None
+        mats[(1, 2)] = 2 * mats[(1, 2)]
+        fam = reps.JFamily(4, 3, mats)
+        assert fam.columns is None and fam.mats is mats
+
+    def test_uncertified_generators_give_a_dense_family(self):
+        rep = build_even_rep(5)
+        doubled = MatrixRep(5, rep.dim, "even", (2 * rep.generators[0],) + rep.generators[1:])
+        fam = j_family(doubled)
+        assert fam.columns is None
+        want = dense_family(doubled)
+        assert all(np.array_equal(fam.mats[k], want[k]) for k in want)
+
     def test_rank2_single_complex_structure(self):
         fam = j_family(build_even_rep(2))
         assert fam.pairs() == [(1, 2)]

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -300,6 +301,15 @@ class TestUniversalExtension:
         # unit maps to the identity
         assert np.array_equal(ext(CliffordElement.scalar(sig, 1)), linalg.eye(2))
 
+    def test_on_blade_takes_any_index_order(self):
+        # sigma_ji = -sigma_ij and sigma_ii = -1, on the column and dense routes
+        fam = j_family(build_even_rep(4, 1, 1))
+        dense = structure.JFamily(8, 4, fam.mats)
+        dense.columns = None
+        for ext in (universal_extension(fam, 4), universal_extension(dense, 4)):
+            assert np.array_equal(ext.on_blade((3, 1)), -fam.j(1, 3))
+            assert np.array_equal(ext.on_blade((2, 2, 4, 1)), fam.j(1, 4))
+
     def test_degenerate_low_rank_gives_unit_morphism(self):
         ext = universal_extension({}, 1, 3)
         sig = AlgebraSignature(1)
@@ -452,7 +462,7 @@ def test_fast_kernels_match_the_dense_oracle(data):
     pairs = s.pairs()
     checked = [(x, y) for x in range(len(pairs)) for y in range(x + 1, len(pairs))]
     dense = linalg.trace_products([mats[p] for p in pairs], checked)
-    assert structure._signed_perm_traces(*structure._family_columns(s)) == dense
+    assert structure._signed_perm_traces(*s.family.columns) == dense
 
 
 def test_built_families_take_the_fast_paths(monkeypatch):
@@ -468,6 +478,80 @@ def test_built_families_take_the_fast_paths(monkeypatch):
     monkeypatch.setattr(linalg, "trace_products", refuse)
     for s in families:
         assert verify_relations(s).passed and verify_orthogonality(s).passed, (s.n, s.r)
+
+
+@pytest.mark.parametrize("r", range(2, 13))
+def test_built_families_are_stored_and_checked_in_column_form(monkeypatch, r):
+    # from_rep certifies each generator once and never densifies a J_ij;
+    # relations, orthogonality and the blade round trip read the stored
+    # column forms and densify nothing on a pass
+    rep = build_even_rep(r)
+    certify = linalg.signed_perm_columns
+
+    def generators_only(a):
+        if np.shape(a) == (rep.dim, rep.dim) and not any(a is g for g in rep.generators):
+            raise RuntimeError("a J matrix was certified")
+        return certify(a)
+
+    def refuse(*args):
+        raise RuntimeError("a column form was densified")
+
+    monkeypatch.setattr(linalg, "signed_perm_columns", generators_only)
+    monkeypatch.setattr(linalg, "signed_perm_matrix", refuse)
+    monkeypatch.setattr(linalg, "imatmul", refuse)
+    s = EvenCliffordStructure.from_rep(rep)
+    assert s.family.columns is not None
+    for check in (verify_relations, verify_orthogonality, verify_universality):
+        assert check(s).passed, check.__name__
+
+
+def _reports(s, products):
+    return json.dumps(
+        [check(s).to_dict() for check in (verify_relations, verify_orthogonality)]
+        + [verify_universality(s, products).to_dict()]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_column_and_dense_routes_report_the_same_bytes(data):
+    # the same family and backing rep, once certified and once with the
+    # certificate refused, so that every check takes its dense path
+    r = data.draw(st.integers(2, 7), label="r")
+    variant = data.draw(st.sampled_from(["conjugated", "generator signs", "flipped", "doubled"]), label="variant")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+
+    def build():
+        rng = random.Random(seed)
+        rep = build_even_rep(r)
+        mats = dict(j_family(rep).mats)
+        n, pairs = rep.dim, sorted(mats)
+        key = rng.choice(pairs)
+        if variant == "conjugated":
+            q = np.zeros((n, n), dtype=np.int64)
+            q[rng.sample(range(n), n), range(n)] = [rng.choice((-1, 1)) for _ in range(n)]
+            mats = {p: q @ m @ q.T for p, m in mats.items()}
+        elif variant == "generator signs":
+            signs = [rng.choice((-1, 1)) for _ in range(r)]
+            mats = {(i, j): signs[i - 1] * signs[j - 1] * m for (i, j), m in mats.items()}
+        elif variant == "flipped":
+            a, b = rng.choice(list(zip(*np.nonzero(mats[key]))))
+            mats[key] = mats[key].copy()
+            mats[key][a, b] *= -1
+        else:
+            mats[key] = 2 * mats[key]
+        sig = AlgebraSignature(r)
+        products = [(_rand_even(rng, sig), _rand_even(rng, sig)) for _ in range(2)]
+        return EvenCliffordStructure(n, r, structure.JFamily(n, r, mats), rep), products
+
+    s, products = build()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "signed_perm_columns", lambda a: None)
+        dense, dense_products = build()
+        assert dense.family.columns is None and not any(dense.rep.columns)
+        want = _reports(dense, dense_products)
+    assert (s.family.columns is None) == (variant == "doubled")
+    assert _reports(s, products) == want
 
 
 @settings(max_examples=60, deadline=None)
