@@ -13,6 +13,11 @@ max|a| max|b| k < 2^53, where float64 arithmetic on integers is exact; int64
 when that bound is below 2^62; Python ints otherwise.  A Python-int operand
 keeps the product in Python ints.
 
+``OperatorStack`` holds a batch of n x n integer matrices.  It decides once,
+when it is built, whether it keeps them as signed-permutation column forms
+or as dense exact arrays, and every operation means the same on both, so
+no caller asks which form a stack has.
+
 Elimination is fraction-free (Bareiss 1968, Math. Comp. 22): every entry of
 the working matrix is a minor of the input, every division is exact, and the
 reduced echelon form comes out as ``(num, den)`` with den the pivot minor.
@@ -23,6 +28,7 @@ on it.  The working dtype is int64 only under a Hadamard bound on all minors.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -44,10 +50,6 @@ def zeros(n: int, m: int | None = None) -> np.ndarray:
 
 def is_skew(a: np.ndarray) -> bool:
     return np.array_equal(a.T, -a)
-
-
-def is_orthogonal(a: np.ndarray) -> bool:
-    return np.array_equal(imatmul(a.T, a), eye(a.shape[0]))
 
 
 def signed_perm_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -74,27 +76,13 @@ def signed_perm_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def signed_perm_matrix(perm: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """The dense int64 matrix of a column form; inverse of signed_perm_columns."""
-    n = perm.shape[0]
-    out = zeros(n)
-    out[perm, np.arange(n)] = sign
+    """The dense int64 matrices of column forms (perm, sign) of shape
+    batch + (n,); inverse of signed_perm_columns."""
+    n = perm.shape[-1]
+    out = np.zeros(perm.shape + (n,), dtype=np.int64)
+    flat = out.reshape(-1, n, n)
+    flat[np.arange(len(flat))[:, None], perm.reshape(-1, n), np.arange(n)] = sign.reshape(-1, n)
     return out
-
-
-def scalar_columns(n: int, s: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Column form of s times the n x n identity, s = +-1."""
-    return np.arange(n), np.full(n, s, dtype=np.int64)
-
-
-def compose_columns(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Column form of the product A B of two column forms."""
-    (pa, sa), (pb, sb) = a, b
-    return pa[pb], sb * sa[pb]
-
-
-def is_signed_permutation(a: np.ndarray) -> bool:
-    """Exactly one entry of modulus 1 per row and per column, rest zero."""
-    return signed_perm_columns(a) is not None
 
 
 def max_abs(a: np.ndarray) -> int:
@@ -165,27 +153,188 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return imatmul(a, b) - imatmul(b, a)
 
 
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return imatmul(a, b) + imatmul(b, a)
+# ---------------------------------------------------------------------------
+# Stacks of operators.
+# ---------------------------------------------------------------------------
 
 
-def trace_products(mats, index_pairs) -> list[int]:
-    """trace(mats[p] @ mats[q]) for each (p, q), without forming products.
+class OperatorStack:
+    """A batch of n x n exact integer matrices, of any batch shape.
 
-    One certificate covers the whole batch: n^2 max|entry|^2 < 2^62 keeps
-    int64 accumulation exact.
+    Its storage form is decided once, when the stack is built by ``of``:
+    column forms when every matrix is certified by ``signed_perm_columns``,
+    two arrays perm, sign of shape batch + (n,) with A e_c = sign[c]
+    e_{perm[c]} (sign in int8, which holds +-1 exactly); otherwise the
+    dense exact arrays, batch + (n, n), multiplied through ``imatmul``.
+    Every operation means the same on both forms and keeps the form of its
+    operands; one that meets both forms densifies the column one.
+
+    ``stack[idx]`` indexes the batch (any numpy index on the leading axes),
+    ``-stack`` negates, ``stack.T`` transposes every matrix, and ``@``
+    multiplies with batch shapes broadcast as in ``np.matmul``.
     """
-    if not index_pairs:
-        return []
-    n = mats[0].shape[0]
-    bound = n * n * max(max_abs(m) for m in mats) ** 2
-    mats = [exact(m, bound) for m in mats]
-    return [int(np.einsum("ij,ji->", mats[p], mats[q])) for p, q in index_pairs]
+
+    __slots__ = ("n", "_perm", "_sign", "_dense", "_padded")
+
+    def __init__(self, n: int, perm=None, sign=None, dense=None):
+        self.n = n
+        self._perm, self._sign, self._dense = perm, sign, dense
+        self._padded = None
+
+    @classmethod
+    def of(cls, mats, n: int) -> "OperatorStack":
+        """The n x n matrices ``mats`` along one batch axis, each certified once."""
+        mats = list(mats)
+        perm = np.empty((len(mats), n), dtype=np.intp)
+        sign = np.empty((len(mats), n), dtype=np.int8)
+        for t, m in enumerate(mats):
+            cols = signed_perm_columns(m) if np.shape(m) == (n, n) else None
+            if cols is None:
+                return cls(n, dense=np.stack([np.asarray(a) for a in mats]))
+            perm[t], sign[t] = cols
+        return cls(n, perm, sign)
+
+    @classmethod
+    def concat(cls, parts) -> "OperatorStack":
+        """The stacks ``parts`` joined along one batch axis (each flattened;
+        a stack without batch axes is one matrix)."""
+        n = parts[0].n
+        if all(p._dense is None for p in parts):
+            return cls(
+                n,
+                np.concatenate([p._perm.reshape(-1, n) for p in parts]),
+                np.concatenate([p._sign.reshape(-1, n) for p in parts]),
+            )
+        return cls(n, dense=np.concatenate([p._array().reshape(-1, n, n) for p in parts]))
+
+    @property
+    def form(self) -> str:
+        """'columns' or 'dense': how the stack is stored."""
+        return "columns" if self._dense is None else "dense"
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The batch shape."""
+        return self._sign.shape[:-1] if self._dense is None else self._dense.shape[:-2]
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __repr__(self) -> str:
+        return f"OperatorStack(n={self.n}, shape={self.shape}, {self.form})"
+
+    def _array(self) -> np.ndarray:
+        """The dense array of the whole batch."""
+        return self._dense if self._dense is not None else signed_perm_matrix(self._perm, self._sign)
+
+    def __getitem__(self, idx) -> "OperatorStack":
+        if self._dense is not None:
+            return OperatorStack(self.n, dense=self._dense[idx])
+        return OperatorStack(self.n, self._perm[idx], self._sign[idx])
+
+    def __neg__(self) -> "OperatorStack":
+        if self._dense is not None:
+            return OperatorStack(self.n, dense=-self._dense)
+        return OperatorStack(self.n, self._perm, -self._sign)
+
+    @property
+    def T(self) -> "OperatorStack":
+        if self._dense is not None:
+            return OperatorStack(self.n, dense=np.swapaxes(self._dense, -1, -2))
+        # A e_c = a[c] e_{p[c]} gives A^T e_c = a[q[c]] e_{q[c]}, q = p^-1
+        inverse = np.argsort(self._perm, axis=-1)
+        return OperatorStack(self.n, inverse, np.take_along_axis(self._sign, inverse, axis=-1))
+
+    def __matmul__(self, other: "OperatorStack") -> "OperatorStack":
+        if self._dense is not None or other._dense is not None:
+            return OperatorStack(self.n, dense=imatmul(self._array(), other._array()))
+        # (A B) e_c = b[c] a[q[c]] e_{p[q[c]]} with (p, a), (q, b) the forms
+        # of A, B: gather A's rows, flattened, at row offset + q
+        n = self.n
+        offset = np.arange(0, self._perm.size, n).reshape(self._perm.shape[:-1] + (1,))
+        at = offset + other._perm
+        sign = self._sign.reshape(-1)[at]
+        sign *= other._sign
+        return OperatorStack(n, self._perm.reshape(-1)[at], sign)
+
+    def differs(self, other: "OperatorStack") -> np.ndarray:
+        """Whether each matrix of the (broadcast) batch differs from the
+        matching matrix of ``other``: bools of the batch shape."""
+        if self._dense is not None or other._dense is not None:
+            return (self._array() != other._array()).any(axis=(-2, -1))
+        bad = (self._perm != other._perm).any(axis=-1)
+        bad |= (self._sign != other._sign).any(axis=-1)
+        return bad
+
+    def matrix(self, idx=()) -> np.ndarray:
+        """The dense matrix at batch index ``idx``: for residuals and the boundary."""
+        if self._dense is not None:
+            return self._dense[idx]
+        return signed_perm_matrix(self._perm[idx], self._sign[idx])
+
+    def identity(self, s: int = 1) -> "OperatorStack":
+        """s times the identity, s = +-1, without batch axes."""
+        if self._dense is not None:
+            return OperatorStack(self.n, dense=s * eye(self.n))
+        return OperatorStack(self.n, np.arange(self.n), np.full(self.n, s, dtype=np.int8))
+
+    def word_products(self, words) -> "OperatorStack":
+        """The product of self[w] over each word in ``words`` (the identity
+        for an empty word), along one batch axis; self has one batch axis.
+        Shorter words are padded on the left with the identity."""
+        if self._padded is None:
+            # the identity, then self; kept, as a stack does not change
+            self._padded = OperatorStack.concat([self.identity(), self])
+        padded = self._padded
+        width = max([1, *map(len, words)])
+        at = np.array([[0] * (width - len(w)) + [t + 1 for t in w] for w in words], dtype=np.intp)
+        at = at.reshape(len(words), width)
+        out = padded[at[:, 0]]
+        for column in at.T[1:]:
+            out = out @ padded[column]
+        return out
+
+    def pair_traces(self) -> list[int]:
+        """trace(A_x A_y) for every x < y of a stack with one batch axis, in
+        row order, without forming the products."""
+        if self._dense is not None:
+            # one certificate for the batch: n^2 max|entry|^2 < 2^62 keeps
+            # int64 accumulation exact
+            mats = exact(self._dense, self.n * self.n * max_abs(self._dense) ** 2)
+            return [t for x in range(len(mats) - 1) for t in np.einsum("ij,bji->b", mats[x], mats[x + 1 :]).tolist()]
+        # (A_x A_y) e_c = b[c] a[q[c]] e_{p[q[c]]} with (p, a), (q, b) the
+        # forms of A_x, A_y: the trace sums b[c] a[q[c]] over p[q[c]] = c,
+        # and every partial sum is at most n in absolute value
+        perm, sign = self._perm, self._sign
+        idx = np.arange(self.n)
+        traces = []
+        for x in range(perm.shape[0] - 1):
+            q = perm[x + 1 :]
+            terms = sign[x][q]
+            terms *= sign[x + 1 :]
+            terms[perm[x][q] != idx] = 0
+            traces.extend(terms.sum(axis=1).tolist())
+        return traces
 
 
-def trace_product(a: np.ndarray, b: np.ndarray) -> int:
-    """trace(a @ b) without forming the product."""
-    return trace_products([a, b], [(0, 1)])[0]
+class LazyMatrices(Sequence):
+    """The matrices of a stack with one batch axis as a read-only sequence
+    of dense arrays, each made on first access and kept."""
+
+    def __init__(self, stack: OperatorStack):
+        self._stack = stack
+        self._made: dict[int, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return len(self._stack)
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return [self[u] for u in range(len(self))[t]]
+        t = range(len(self))[t]
+        if t not in self._made:
+            self._made[t] = self._stack.matrix(t)
+        return self._made[t]
 
 
 # ---------------------------------------------------------------------------

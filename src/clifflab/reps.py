@@ -131,11 +131,11 @@ def _generators_with_volume_sign(r: int, sign: int) -> list[np.ndarray]:
     if r % 4 != 3:
         raise RepresentationError(f"rank {r}: the volume is a central involution only for r = 3 mod 4")
     gens = _base_generators(r)
-    n = gens[0].shape[0]
-    vol = _word_matrix(gens, [linalg.signed_perm_columns(g) for g in gens], range(len(gens)))
-    if np.array_equal(vol, sign * linalg.eye(n)):
+    stack = linalg.OperatorStack.of(gens, gens[0].shape[0])
+    vol = stack.word_products([range(len(gens))])[0]
+    if not vol.differs(stack.identity(sign)):
         return gens
-    if not np.array_equal(vol, -sign * linalg.eye(n)):
+    if vol.differs(stack.identity(-sign)):
         raise RepresentationError(f"rank {r}: the volume is not +-identity; construction broken")
     return gens[:-1] + [-gens[-1]]
 
@@ -170,31 +170,33 @@ class MatrixRep:
     volume_split: tuple[int, int] | None = None
 
     @cached_property
-    def columns(self) -> tuple:
-        """The column form of each generator, certified once; None where a
-        generator is not a signed permutation."""
-        return tuple(linalg.signed_perm_columns(g) for g in self.generators)
+    def stack(self) -> linalg.OperatorStack:
+        """The generators as one stack, certified once."""
+        return linalg.OperatorStack.of(self.generators, self.dim)
 
     def validate(self) -> list[str]:
-        """Check the structural invariants; returns a list of violations."""
-        problems = []
+        """Check the structural invariants; returns a list of violations.
+
+        A generator of the wrong shape is reported alone, since no identity
+        between generators of different shapes can be checked.
+        """
         n = self.dim
-        ident = linalg.eye(n)
-        for idx, g in enumerate(self.generators):
-            if g.shape != (n, n):
-                problems.append(f"generator {idx} has shape {g.shape}")
-                continue
-            if not linalg.is_signed_permutation(g):
+        shapes = [f"generator {idx} has shape {g.shape}" for idx, g in enumerate(self.generators) if g.shape != (n, n)]
+        if shapes:
+            return shapes
+        g = self.stack
+        not_skew = g.differs(-g.T)
+        not_orthogonal = (g.T @ g).differs(g.identity())
+        problems = []
+        for idx, m in enumerate(self.generators):
+            if linalg.signed_perm_columns(m) is None:
                 problems.append(f"generator {idx} is not a signed permutation")
-            if not linalg.is_skew(g):
+            if not_skew[idx]:
                 problems.append(f"generator {idx} is not skew-symmetric")
-            if not linalg.is_orthogonal(g):
+            if not_orthogonal[idx]:
                 problems.append(f"generator {idx} is not orthogonal")
-        for i, gi in enumerate(self.generators):
-            for j, gj in enumerate(self.generators):
-                want = -2 * ident if i == j else linalg.zeros(n)
-                if not np.array_equal(linalg.anticommutator(gi, gj), want):
-                    problems.append(f"anticommutation fails at ({i}, {j})")
+        for i, j in zip(*np.nonzero(anticommutation_failures(g))):
+            problems.append(f"anticommutation fails at ({i}, {j})")
         return problems
 
     def to_json(self) -> str:
@@ -233,6 +235,21 @@ class MatrixRep:
             raise RepresentationError(f"{len(gens)} generators do not fit a {kind} rank-{rank} file")
         split = tuple(data["volume_split"]) if data.get("volume_split") else None
         return cls(rank, n, kind, gens, split)
+
+
+def anticommutation_failures(g: linalg.OperatorStack) -> np.ndarray:
+    """Where g_a g_b + g_b g_a = -2 delta_ab fails, as a k x k array of
+    bools for the k matrices of g: g_a g_b = -g_b g_a off the diagonal and
+    g_a^2 = -1 on it, exactly so for integers.  One row of products at a
+    time."""
+    k = len(g)
+    bad = np.zeros((k, k), dtype=bool)
+    minus = g.identity(-1)
+    for a in range(k):
+        left = g[a] @ g
+        bad[a] = left.differs(-(g @ g[a]))
+        bad[a, a] = left[a].differs(minus)
+    return bad
 
 
 def _check_rank_cap(r: int) -> None:
@@ -332,26 +349,6 @@ def _even_to_generator_word(x: CliffordElement) -> CliffordElement:
     return CliffordElement(low, {mask >> 1: coeff for mask, coeff in x._terms.items()})
 
 
-def _word_columns(cols, word, n: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Column form of the product of the factors cols[w] over ``word`` (the
-    identity for the empty word); None when some factor is not certified."""
-    forms = [cols[w] for w in word]
-    if any(f is None for f in forms):
-        return None
-    return reduce(linalg.compose_columns, forms) if forms else linalg.scalar_columns(n)
-
-
-def _word_matrix(mats, cols, word) -> np.ndarray:
-    """The exact product of mats[w] over ``word``: composed in column form
-    and scattered once when every factor is certified (cols[w] its column
-    form or None), else multiplied through ``linalg.imatmul``."""
-    n = mats[0].shape[0]
-    prod = _word_columns(cols, word, n)
-    if prod is not None:
-        return linalg.signed_perm_matrix(*prod)
-    return reduce(linalg.imatmul, (mats[w] for w in word), linalg.eye(n))
-
-
 def _blade_word(rep: MatrixRep, indices) -> tuple[int, ...]:
     """The generator positions whose product represents the blade e_indices:
     e_a -> a - 1 for a full rep; for an even rep the index-shift rule of
@@ -365,9 +362,11 @@ def _evaluate_word(rep: MatrixRep, x: CliffordElement) -> np.ndarray:
     """Sum over the terms of x, an element of Cl_k whose generator i maps to
     rep.generators[i - 1], on numerators over the lcm of the coefficient
     denominators; an integral result comes back as an integer matrix."""
-    gens, cols = rep.generators, rep.columns
-    words = ((coeff, _word_matrix(gens, cols, [i - 1 for i in indices])) for indices, coeff in x.items())
-    num, den = linalg.rational_combination(words, rep.dim)
+    terms = list(x.items())
+    images = rep.stack.word_products([[i - 1 for i in indices] for indices, _ in terms])
+    num, den = linalg.rational_combination(
+        ((coeff, images.matrix(t)) for t, (_, coeff) in enumerate(terms)), rep.dim
+    )
     return num if den == 1 else linalg.fraction_array(num, den)
 
 
@@ -384,26 +383,25 @@ def evaluate(rep: MatrixRep, x: CliffordElement) -> np.ndarray:
     return _evaluate_word(rep, _even_to_generator_word(x))
 
 
-def blade_columns(rep: MatrixRep, indices) -> tuple[np.ndarray, np.ndarray] | None:
-    """Column form of the image of the blade e_indices (even for an even
-    rep); None unless every generator of its word is certified."""
-    return _word_columns(rep.columns, _blade_word(rep, indices), rep.dim)
+def blade_images(rep: MatrixRep, blades) -> linalg.OperatorStack:
+    """The images of the blades e_indices (even ones for an even rep), one
+    for each index tuple in ``blades``, as one stack."""
+    return rep.stack.word_products([_blade_word(rep, indices) for indices in blades])
 
 
 class JFamily:
     """The skew endomorphisms J_ij = phi(e_i . e_j), 1 <= i < j <= r.
 
-    Extended by J_ji = -J_ij and J_ii = -identity.  A family of signed
-    permutations is stored in column form: ``columns`` is (perm, sign), two
-    arrays of shape (pairs, n) in ``pairs()`` order, with
-    J_ij e_c = sign[t, c] e_{perm[t, c]} for (i, j) = pairs()[t].  The dense
-    int64 matrices of ``mats`` and ``j`` are made from it on first use and
-    cached.  A family given as matrices is certified once, here; one that
-    fails the certificate keeps dense storage and ``columns`` is None.  The
-    family is not to be changed after construction.
+    Extended by J_ji = -J_ij and J_ii = -identity.  ``stack`` holds the J_ij
+    in ``pairs()`` order as one ``linalg.OperatorStack``; a family given as
+    matrices is certified into it once, here.  The dense matrices of
+    ``mats`` and ``j`` are made from the stack on first use and cached (a
+    family given as matrices keeps them).  ``ordered`` is the stack of every
+    J_ij, i == j included.  The family is not to be changed after
+    construction.
     """
 
-    def __init__(self, n: int, r: int, mats: dict | None = None, columns=None):
+    def __init__(self, n: int, r: int, mats: dict | None = None, stack: linalg.OperatorStack | None = None):
         self.n = n
         self.r = r
         self._mats = mats
@@ -411,18 +409,27 @@ class JFamily:
             self._pairs = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
         else:
             self._pairs = sorted(mats)
-            columns = _stack_columns([mats[p] for p in self._pairs], n)
-        self.columns = columns
+            stack = linalg.OperatorStack.of([mats[p] for p in self._pairs], n)
+        self.stack = stack
 
     def __repr__(self) -> str:
-        return f"JFamily(n={self.n}, r={self.r}, {'dense' if self.columns is None else 'columns'})"
+        return f"JFamily(n={self.n}, r={self.r}, {self.stack!r})"
 
     @property
     def mats(self) -> dict:
         if self._mats is None:
-            perm, sign = self.columns
-            self._mats = {p: linalg.signed_perm_matrix(perm[t], sign[t]) for t, p in enumerate(self._pairs)}
+            self._mats = {p: self.stack.matrix(t) for t, p in enumerate(self._pairs)}
         return self._mats
+
+    @cached_property
+    def ordered(self) -> tuple[linalg.OperatorStack, dict]:
+        """J_ij for every (i, j), i == j included, as one stack, and the row
+        of each (i, j) in it: J_ij (i < j), then J_ji = -J_ij, then -1."""
+        rows = {p: t for t, p in enumerate(self._pairs)}
+        count = len(rows)
+        rows.update({(j, i): count + t for t, (i, j) in enumerate(self._pairs)})
+        rows.update({(i, i): 2 * count for i in range(1, self.r + 1)})
+        return linalg.OperatorStack.concat([self.stack, -self.stack, self.stack.identity(-1)]), rows
 
     def j(self, i: int, j: int) -> np.ndarray:
         if i == j:
@@ -438,34 +445,14 @@ class JFamily:
         return linalg.rank(np.stack([linalg.skew_to_coords(self.mats[p]) for p in self.pairs()]))
 
 
-def _stack_columns(mats, n: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The column forms of n x n matrices stacked into (perm, sign) arrays of
-    shape (len(mats), n); None unless every matrix is certified."""
-    perm = np.empty((len(mats), n), dtype=np.intp)
-    sign = np.empty((len(mats), n), dtype=np.int64)
-    for t, m in enumerate(mats):
-        cols = linalg.signed_perm_columns(m) if np.shape(m) == (n, n) else None
-        if cols is None:
-            return None
-        perm[t], sign[t] = cols
-    return perm, sign
-
-
 def j_family(rep: MatrixRep) -> JFamily:
     """J_ij, the image of the blade e_i e_j: g_i g_j for a full rep, and
     J_1j = g_j, J_ij = g_i g_j (i > 1) for an even one, with g_i the
-    generator of e_i or of f_{i-1}.
-
-    Certified generators are composed and stored in column form, and no
-    J_ij is made dense; otherwise the products are dense.
-    """
-    r, n = rep.rank, rep.dim
+    generator of e_i or of f_{i-1}; one batch of products on the
+    generators' stack."""
+    r = rep.rank
     pairs = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
-    words = [_blade_word(rep, p) for p in pairs]
-    if any(c is None for c in rep.columns):
-        return JFamily(n, r, {p: _word_matrix(rep.generators, rep.columns, w) for p, w in zip(pairs, words)})
-    forms = [_word_columns(rep.columns, w, n) for w in words]
-    return JFamily(n, r, columns=(np.stack([f[0] for f in forms]), np.stack([f[1] for f in forms])))
+    return JFamily(rep.dim, r, stack=blade_images(rep, pairs))
 
 
 # -- triality ----------------------------------------------------------------

@@ -17,14 +17,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import linalg
-from .blades import AlgebraSignature, CliffordElement, hodge_dual_vector, volume_element, volume_square_sign
-from .reps import JFamily, MatrixRep, UnsupportedRankError, blade_columns, evaluate, j_family
+from .blades import AlgebraSignature, CliffordElement, hodge_dual_vector, volume_square_sign
+from .reps import JFamily, MatrixRep, UnsupportedRankError, anticommutation_failures, blade_images, j_family
 
 
 class StructureError(ValueError):
@@ -187,106 +186,62 @@ def _field(obj: dict, key: str, where: str):
 
 
 def verify_relations(s: EvenCliffordStructure) -> VerificationReport:
-    """Exact check of the Clifford relations of the family.
-
-    Signed-permutation families are checked on their column forms, with
-    batched gathers; every other family runs through batched products
-    certified by ``linalg.imatmul``.  Both report the same failures in the
-    same order.
-    """
-    failures = _verify_relations_signed_perm(s)
-    if failures is None:
-        failures = _verify_relations_dense(s)
+    """Exact check of the Clifford relations of the family: each identity
+    is one batch of products on the family's stack, and only a failing
+    identity is densified, for its residual."""
+    failures = _square_failures(s.family)
+    if s.r >= 3:
+        failures += [
+            Failure("shared_index_composition", triple, _residual(got, want))
+            for triple, got, want in _frame_triples(s.family, diagonal=False)
+        ]
+        failures += _disjoint_failures(s.family)
     return VerificationReport("relations", failures)
 
 
-def _verify_relations_signed_perm(s: EvenCliffordStructure) -> list[Failure] | None:
-    """The relation suite on the stored column forms: A e_c = a[c] e_{p[c]},
-    and the product A B has perm p_A[p_B] and sign b * a[p_B].
-
-    Each identity family is one gather over a batch, compared by masks;
-    only failing identities are densified, for their residual.  Each family
-    is checked in its own function, so its temporaries are freed before
-    the next one.  Returns None when the family is stored dense.
-    """
-    cols = s.family.columns
-    if cols is None:
-        return None
-    failures = _square_failures(s.pairs(), *cols)
-    if s.r >= 3:
-        failures += _shared_index_failures(s.r, s.pairs(), *cols)
-        failures += _disjoint_failures(s.pairs(), *cols)
-    return failures
+def _residual(got: linalg.OperatorStack, want: linalg.OperatorStack) -> str:
+    return format_residual(got.matrix() - want.matrix())
 
 
-def _perm_residual(p: np.ndarray, sg: np.ndarray, q: np.ndarray, sq: np.ndarray) -> str:
-    return format_residual(linalg.signed_perm_matrix(p, sg) - linalg.signed_perm_matrix(q, sq))
-
-
-def _square_failures(pairs, perm: np.ndarray, sign: np.ndarray) -> list[Failure]:
-    """Skewness and unit squares.  A signed permutation is orthogonal, so
-    A^T = -A exactly when A^2 = -1, that is when p[p] = id and a[p] = -a."""
-    n = perm.shape[1]
-    stack = np.arange(len(pairs)).reshape(-1, 1)
-    sq_perm, sq_sign = perm[stack, perm], sign * sign[stack, perm]
+def _square_failures(fam: JFamily) -> list[Failure]:
+    """Skewness and unit squares."""
+    stack = fam.stack
+    squares, minus, minus_t = stack @ stack, stack.identity(-1), -stack.T
+    not_skew, not_square = stack.differs(minus_t), squares.differs(minus)
     failures = []
-    for t in np.flatnonzero(~((sq_perm == np.arange(n)).all(axis=1) & (sq_sign == -1).all(axis=1))):
-        m = linalg.signed_perm_matrix(perm[t], sign[t])
-        failures.append(Failure("skew_symmetry", pairs[t], format_residual(m + m.T)))
-        square = linalg.signed_perm_matrix(sq_perm[t], sq_sign[t])
-        failures.append(Failure("unit_square", pairs[t], format_residual(square + linalg.eye(n))))
+    for t, pair in enumerate(fam.pairs()):
+        if not_skew[t]:
+            failures.append(Failure("skew_symmetry", pair, _residual(stack[t], minus_t[t])))
+        if not_square[t]:
+            failures.append(Failure("unit_square", pair, _residual(squares[t], minus)))
     return failures
 
 
-def _frame_triples(r: int, pairs, perm: np.ndarray, sign: np.ndarray, diagonal: bool):
-    """The violations of J_ij J_il = J_jl (i, j, l distinct) on column forms,
-    with the unit squares J_ij J_ij = -1 (j = l) too when ``diagonal``:
-    one gather per i over all (j, l).
+def _frame_triples(fam: JFamily, diagonal: bool):
+    """The violations of J_ij J_il = J_jl (i, j, l distinct), with the unit
+    squares J_ij J_ij = -1 (j = l) too when ``diagonal``: one batch of
+    products per i over all (j, l).
 
-    Yields (i, j, l) and the column forms of both sides, in that order.
+    Yields (i, j, l) and both sides, in that order.
     """
-    # every ordered pair (i, j), i != j (J_ji = -J_ij has the same perm),
-    # then one row for -1, the right side at j = l
-    row = {p: t for t, p in enumerate(pairs)}
-    order = [(i, j) for i in range(1, r + 1) for j in range(1, r + 1) if i != j]
-    pos = {p: t for t, p in enumerate(order)}
-    rows = [row[(min(p), max(p))] for p in order]
-    flip = np.array([1 if i < j else -1 for i, j in order], dtype=np.int64).reshape(-1, 1)
-    minus_perm, minus_sign = linalg.scalar_columns(perm.shape[1], -1)
-    o_perm = np.concatenate([perm[rows], minus_perm[None]])
-    o_sign = np.concatenate([flip * sign[rows], minus_sign[None]])
-
-    left = np.arange(r - 1).reshape(-1, 1, 1)
+    ordered, row = fam.ordered
+    r = fam.r
     off_diagonal = ~np.eye(r - 1, dtype=bool)
     for i in range(1, r + 1):
         js = [j for j in range(1, r + 1) if j != i]
-        sel = [pos[(i, j)] for j in js]
-        p_i, s_i = o_perm[sel], o_sign[sel]
-        target = np.array([[pos.get((j, k), len(order)) for k in js] for j in js])
-        # perms, then signs: one (r-1, r-1, n) temporary at a time
-        got_perm = p_i[left, p_i[None]]
-        bad = (got_perm != o_perm[target]).any(axis=2)
-        got_sign = s_i[left, p_i[None]]
-        got_sign *= s_i[None]
-        bad |= (got_sign != o_sign[target]).any(axis=2)
+        f = ordered[[row[(i, j)] for j in js]]
+        got, want = f[:, None] @ f[None, :], ordered[np.array([[row[(j, l)] for l in js] for j in js])]
+        bad = got.differs(want)
         if not diagonal:
             bad &= off_diagonal
         for a, b in zip(*np.nonzero(bad)):
-            t = target[a, b]
-            yield (i, js[a], js[b]), (got_perm[a, b], got_sign[a, b]), (o_perm[t], o_sign[t])
+            yield (i, js[a], js[b]), got[a, b], want[a, b]
 
 
-def _shared_index_failures(r: int, pairs, perm: np.ndarray, sign: np.ndarray) -> list[Failure]:
-    """J_ij J_ik = J_jk for distinct i, j, k."""
-    return [
-        Failure("shared_index_composition", triple, _perm_residual(*got, *want))
-        for triple, got, want in _frame_triples(r, pairs, perm, sign, diagonal=False)
-    ]
-
-
-def _disjoint_failures(pairs, perm: np.ndarray, sign: np.ndarray) -> list[Failure]:
-    """J_ij J_kl = J_kl J_ij for disjoint pairs: one gather per pair over
-    its later partners."""
+def _disjoint_failures(fam: JFamily) -> list[Failure]:
+    """J_ij J_kl = J_kl J_ij for disjoint pairs: one batch per pair over its
+    later partners."""
+    pairs, stack = fam.pairs(), fam.stack
     first = np.array([p[0] for p in pairs]).reshape(-1, 1)
     second = np.array([p[1] for p in pairs]).reshape(-1, 1)
     disjoint = (first != first.T) & (first != second.T) & (second != first.T) & (second != second.T)
@@ -294,64 +249,10 @@ def _disjoint_failures(pairs, perm: np.ndarray, sign: np.ndarray) -> list[Failur
     failures = []
     for t in np.flatnonzero(later.any(axis=1)):
         others = np.flatnonzero(later[t])
-        p_t, s_t, p_u, s_u = perm[t], sign[t], perm[others], sign[others]
-        ab_perm, ab_sign = p_t[p_u], s_u * s_t[p_u]
-        ba_perm, ba_sign = p_u[:, p_t], s_t * s_u[:, p_t]
-        bad = ((ab_perm != ba_perm) | (ab_sign != ba_sign)).any(axis=1)
-        for slot in np.flatnonzero(bad):
-            failures.append(
-                Failure(
-                    "disjoint_commutation",
-                    pairs[t] + pairs[others[slot]],
-                    _perm_residual(ab_perm[slot], ab_sign[slot], ba_perm[slot], ba_sign[slot]),
-                )
-            )
-    return failures
-
-
-def _verify_relations_dense(s: EvenCliffordStructure) -> list[Failure]:
-    """Batched dense products, one certified ``imatmul`` per batch; every
-    residual is a product plus at most one more exact term."""
-    n, r = s.n, s.r
-    pairs = s.pairs()
-    order = [(i, j) for i in range(1, r + 1) for j in range(1, r + 1) if i != j]
-    pos = {p: t for t, p in enumerate(order)}
-    stack = np.stack([s.j(i, j) for (i, j) in order])
-    ident = linalg.eye(n)
-    failures = []
-
-    sub = stack[[pos[p] for p in pairs]]
-    squares = linalg.imatmul(sub, sub) + ident
-    for t, (i, j) in enumerate(pairs):
-        res = sub[t] + sub[t].T
-        if res.any():
-            failures.append(Failure("skew_symmetry", (i, j), format_residual(res)))
-        if squares[t].any():
-            failures.append(Failure("unit_square", (i, j), format_residual(squares[t])))
-
-    for i in range(1, r + 1):
-        js = [j for j in range(1, r + 1) if j != i]
-        f = stack[[pos[(i, j)] for j in js]]
-        prod = linalg.imatmul(f[:, None], f[None, :])
-        for a, j in enumerate(js):
-            for b, k in enumerate(js):
-                if j == k:
-                    continue
-                res = prod[a, b] - stack[pos[(j, k)]]
-                if res.any():
-                    failures.append(Failure("shared_index_composition", (i, j, k), format_residual(res)))
-
-    for t, (i, j) in enumerate(pairs):
-        others = [u for u, (k, l) in enumerate(pairs) if u > t and len({i, j, k, l}) == 4]
-        if not others:
-            continue
-        rest = sub[others]
-        diff = linalg.imatmul(sub[t], rest) - linalg.imatmul(rest, sub[t])
-        for slot, u in enumerate(others):
-            if diff[slot].any():
-                failures.append(
-                    Failure("disjoint_commutation", (i, j) + pairs[u], format_residual(diff[slot]))
-                )
+        ab, ba = stack[t] @ stack[others], stack[others] @ stack[t]
+        for slot in np.flatnonzero(ab.differs(ba)):
+            pair = pairs[t] + pairs[others[slot]]
+            failures.append(Failure("disjoint_commutation", pair, _residual(ab[slot], ba[slot])))
     return failures
 
 
@@ -360,20 +261,13 @@ def verify_orthogonality(s: EvenCliffordStructure) -> VerificationReport:
 
     Pairs sharing exactly one index anticommute, so their pairing vanishes
     for every rank.  Pairings of disjoint index pairs vanish for r != 4; for
-    r = 4 they are reported as data without being asserted.  Traces of
-    signed-permutation families are summed on column forms, all others by
-    ``linalg.trace_products``.
+    r = 4 they are reported as data without being asserted.
     """
     pairs = s.pairs()
     checked = [(x, y) for x in range(len(pairs)) for y in range(x + 1, len(pairs))]
-    cols = s.family.columns
-    if cols is None:
-        traces = linalg.trace_products([s.family.mats[p] for p in pairs], checked)
-    else:
-        traces = _signed_perm_traces(*cols)
     failures = []
     pairings = {}
-    for (x, y), t in zip(checked, traces):
+    for (x, y), t in zip(checked, s.family.stack.pair_traces()):
         (i, j), (k, l) = pairs[x], pairs[y]
         if len({i, j} & {k, l}) == 1:
             if t != 0:
@@ -386,24 +280,6 @@ def verify_orthogonality(s: EvenCliffordStructure) -> VerificationReport:
     return VerificationReport("orthogonality", failures, data)
 
 
-def _signed_perm_traces(perm: np.ndarray, sign: np.ndarray) -> list[int]:
-    """trace(A_x A_y) for every x < y of a stack of column forms, row by row.
-
-    (A_x A_y) e_c = b[c] a[q[c]] e_{p[q[c]]} with (p, a), (q, b) the forms
-    of A_x, A_y, so the trace sums b[c] a[q[c]] over the c with p[q[c]] = c;
-    every partial sum is at most n in absolute value.
-    """
-    idx = np.arange(perm.shape[1])
-    traces = []
-    for x in range(perm.shape[0] - 1):
-        q = perm[x + 1 :]
-        terms = sign[x][q]
-        terms *= sign[x + 1 :]
-        terms[perm[x][q] != idx] = 0
-        traces.extend(terms.sum(axis=1).tolist())
-    return traces
-
-
 def volume_endomorphism(s: EvenCliffordStructure) -> tuple[np.ndarray, dict]:
     """Image of the volume element, with its square sign and commutation data.
 
@@ -412,34 +288,28 @@ def volume_endomorphism(s: EvenCliffordStructure) -> tuple[np.ndarray, dict]:
     is required.
     """
     if s.r % 2 == 0:
-        v = s.j(1, 2)
-        for i in range(3, s.r, 2):
-            v = linalg.imatmul(v, s.j(i, i + 1))
+        ordered, row = s.family.ordered
+        v = ordered.word_products([[row[(i, i + 1)] for i in range(1, s.r, 2)]])[0]
     else:
         if s.rep is None or s.rep.kind != "full":
             raise VolumeError(
                 "odd-rank volume is an odd element; it needs a backing"
                 " representation of the full Clifford algebra"
             )
-        v = evaluate(s.rep, volume_element(AlgebraSignature(s.r)))
-    sq = linalg.imatmul(v, v)
+        v = blade_images(s.rep, [range(1, s.r + 1)])[0]
     expected_sign = volume_square_sign(s.r)
-    n = s.n
-    ident = linalg.eye(n)
+    family = s.family.stack
     report = {
         "square_sign": expected_sign,
-        "square_matches": not (sq - expected_sign * ident).any(),
-        "commutes_with_family": all(
-            not linalg.commutator(v, s.j(i, j)).any() for (i, j) in s.pairs()
-        ),
+        "square_matches": not (v @ v).differs(v.identity(expected_sign)),
+        "commutes_with_family": not (v @ family).differs(family @ v).any(),
     }
     if s.rep is not None and s.rep.kind == "full":
         sign = -1 if s.r % 2 == 0 else 1
+        gens = s.rep.stack
         report["generator_commutation_sign"] = sign
-        report["generator_commutation_matches"] = all(
-            np.array_equal(linalg.imatmul(v, g), sign * linalg.imatmul(g, v)) for g in s.rep.generators
-        )
-    return v, report
+        report["generator_commutation_matches"] = not (v @ gens).differs(gens @ v if sign == 1 else -(gens @ v)).any()
+    return v.matrix(), report
 
 
 # -- rank 4 splitting ---------------------------------------------------------
@@ -539,15 +409,20 @@ def split_rank4(s: EvenCliffordStructure) -> SplitResult:
 # -- Hodge extension ----------------------------------------------------------
 
 
-def extend_hodge(s: EvenCliffordStructure) -> list[np.ndarray]:
+def extend_hodge(s: EvenCliffordStructure) -> linalg.LazyMatrices:
     """Extend a rank 3 mod 4 even structure to a full Clifford family.
 
     K_i is the image of the Hodge dual of e_i: with star(e_i) = sign e_a1 ...
     e_a(r-1), that is sign J_a1a2 J_a3a4 ..., a product of (r-1)/2 mutually
-    commuting skew endomorphisms, hence skew.  The family alone determines
-    it, so explicit families extend as well.  For other ranks the duals
-    square to +1 instead of -1 and no extension of this kind exists, so the
-    request is refused.
+    commuting skew endomorphisms, hence skew (the sign is taken into the
+    first factor, -J_a1a2 = J_a2a1).  The family alone determines it, so
+    explicit families extend as well.  The K_i are formed as one stack and
+    checked for skewness and for the anticommutation relations with the
+    same helper as ``MatrixRep.validate``; the first failure, in the order
+    skew(1), anticommutation (1, 1..r), skew(2), ..., raises StructureError.
+    The K_i come back as a sequence of dense matrices, each made on first
+    access.  For other ranks the duals square to +1 instead of -1 and no
+    extension of this kind exists, so the request is refused.
     """
     if s.r % 4 != 3:
         raise UnsupportedRankError(
@@ -555,22 +430,24 @@ def extend_hodge(s: EvenCliffordStructure) -> list[np.ndarray]:
             " no Hodge extension exists"
         )
     sig = AlgebraSignature(s.r)
-    ks = []
+    ordered, row = s.family.ordered
+    words = []
     for i in range(1, s.r + 1):
         dual = hodge_dual_vector(i, sig)
         rest = dual.index_set
-        factors = (s.j(rest[t], rest[t + 1]) for t in range(0, len(rest), 2))
-        ks.append(dual.sign * reduce(linalg.imatmul, factors))
-    n = s.n
-    ident = linalg.eye(n)
-    for a, ka in enumerate(ks):
-        if (ka + ka.T).any():
+        factors = [(rest[t], rest[t + 1]) for t in range(0, len(rest), 2)]
+        if dual.sign < 0:
+            factors[0] = factors[0][::-1]
+        words.append([row[f] for f in factors])
+    ks = ordered.word_products(words)
+    not_skew, not_anticommuting = ks.differs(-ks.T), anticommutation_failures(ks)
+    for a in range(s.r):
+        if not_skew[a]:
             raise StructureError(f"Hodge dual image {a + 1} is not skew")
-        for b, kb in enumerate(ks):
-            want = -2 * ident if a == b else linalg.zeros(n)
-            if not np.array_equal(linalg.anticommutator(ka, kb), want):
-                raise StructureError(f"extension fails anticommutation at ({a + 1}, {b + 1})")
-    return ks
+        bad = np.flatnonzero(not_anticommuting[a])
+        if bad.size:
+            raise StructureError(f"extension fails anticommutation at ({a + 1}, {bad[0] + 1})")
+    return linalg.LazyMatrices(ks)
 
 
 def verify_hodge(s: EvenCliffordStructure, skip_other_ranks: bool = False) -> VerificationReport:
@@ -596,50 +473,38 @@ class EvenAlgebraMorphism:
 
     Blades map to products of sigma matrices, where sigma_ij is the image of
     the Clifford product e_i . e_j: J_ij of the family for i != j, and
-    -identity for i = j.  When the family is stored in column form, the
-    factors of a blade are composed in column form and scattered once.
+    -identity for i = j; the factors of every blade are multiplied on the
+    family's stack.
     """
 
     def __init__(self, k: int, n: int, family: JFamily):
         self.k = k
         self.n = n
         self.family = family
-        self._row = {p: t for t, p in enumerate(family.pairs())}
 
-    def _factors(self, indices: Sequence[int]) -> list[tuple[int, int]]:
-        if len(indices) % 2:
-            raise StructureError("morphism of the even algebra: blades must be even")
-        return [(indices[t], indices[t + 1]) for t in range(0, len(indices), 2)]
-
-    def _sigma_columns(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        if i == j:
-            return linalg.scalar_columns(self.n, -1)
-        perm, sign = self.family.columns
-        t = self._row[(min(i, j), max(i, j))]
-        return perm[t], sign[t] if i < j else -sign[t]
-
-    def blade_columns(self, indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray] | None:
-        """Column form of the image of the blade; None for a dense family."""
-        factors = self._factors(indices)
-        if self.family.columns is None:
-            return None
-        sigmas = (self._sigma_columns(i, j) for i, j in factors)
-        return reduce(linalg.compose_columns, sigmas, linalg.scalar_columns(self.n))
+    def blades(self, blades) -> linalg.OperatorStack:
+        """The images of the blades e_indices, one for each index tuple in
+        ``blades``, as one stack."""
+        sigma, row = self.family.ordered
+        words = []
+        for indices in blades:
+            if len(indices) % 2:
+                raise StructureError("morphism of the even algebra: blades must be even")
+            words.append([row[(indices[t], indices[t + 1])] for t in range(0, len(indices), 2)])
+        return sigma.word_products(words)
 
     def on_blade(self, indices: Sequence[int]) -> np.ndarray:
-        cols = self.blade_columns(indices)
-        if cols is not None:
-            return linalg.signed_perm_matrix(*cols)
-        factors = (self.family.j(i, j) for i, j in self._factors(indices))
-        return reduce(linalg.imatmul, factors, linalg.eye(self.n))
+        return self.blades([indices]).matrix(0)
 
     def __call__(self, x: CliffordElement) -> np.ndarray:
         if x.signature.rank != self.k:
             raise StructureError("element rank disagrees with morphism domain")
         if not x.is_even():
             raise StructureError("morphism is defined on the even algebra only")
+        terms = list(x.items())
+        images = self.blades([indices for indices, _ in terms])
         num, den = linalg.rational_combination(
-            ((coeff, self.on_blade(indices)) for indices, coeff in x.items()), self.n
+            ((coeff, images.matrix(t)) for t, (_, coeff) in enumerate(terms)), self.n
         )
         return num if den == 1 else linalg.fraction_array(num, den)
 
@@ -675,9 +540,9 @@ def universal_extension(
     sigma(u,v) + sigma(v,u) = -2<u,v> id holds because phi is skew, and
     sigma(v,u) sigma(u,w) = -<u,u> sigma(v,w) expands in u into frame cases
     plus cross terms u_a u_b that cancel by the frame identity at i = a.
-    A family in column form is checked in batched gathers, one per i, any
-    other by exact products.  Rejection carries the first witnessing triple
-    in (i, j, l) order; after acceptance the morphism is returned.
+    They are checked as in the relation suite, one batch of products per i.
+    Rejection carries the first witnessing triple in (i, j, l) order; after
+    acceptance the morphism is returned.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -688,24 +553,16 @@ def universal_extension(
     fam = phi if isinstance(phi, JFamily) else _map_family(phi, k, n)
     if fam.r != k:
         raise StructureError(f"a rank-{fam.r} family is no map on the 2-forms of rank {k}")
-
-    if fam.columns is not None:
-        witness = next((t for t, _, _ in _frame_triples(k, fam.pairs(), *fam.columns, diagonal=True)), None)
-    else:
-        triples = ((i, j, l) for i in range(1, k + 1) for j in range(1, k + 1) for l in range(1, k + 1))
-        # J_jj = -id is the right side at j = l
-        witness = next(
-            (
-                (i, j, l)
-                for i, j, l in triples
-                if i not in (j, l) and not np.array_equal(linalg.imatmul(fam.j(i, j), fam.j(i, l)), fam.j(j, l))
-            ),
-            None,
-        )
+    witness = next((triple for triple, _, _ in _frame_triples(fam, diagonal=True)), None)
     if witness is not None:
         i, j, l = witness
         raise ExtensionRejected(witness, f"extension criterion fails at u=e_{i}, v=e_{j}, w=e_{l}")
     return EvenAlgebraMorphism(k, fam.n, fam)
+
+
+# blades per batch of the round trip in verify_universality: bounds the
+# batch's arrays, which are dense for a family that is not certified
+_BLADE_BATCH = 64
 
 
 def verify_universality(
@@ -716,8 +573,8 @@ def verify_universality(
     A structure backed by a representation must also agree with the
     extension on every even blade, and every given pair (a, b) of even
     elements with integer coefficients must multiply: ext(a b) = ext(a) ext(b).
-    A blade whose two images are both certified is compared in column form
-    and densified only for its residual.
+    The blades are compared in batches of stacks and densified only for a
+    residual.
     """
     try:
         ext = universal_extension(s.family, s.r, s.n)
@@ -725,22 +582,13 @@ def verify_universality(
         return VerificationReport("universality", [Failure("extension_criterion", err.witness, str(err))])
     failures = []
     if s.rep is not None:
-        sig = AlgebraSignature(s.r)
-        for mask in range(1 << s.r):
-            if mask.bit_count() % 2:
-                continue
-            indices = tuple(i + 1 for i in range(s.r) if mask >> i & 1)
-            got, want = ext.blade_columns(indices), blade_columns(s.rep, indices)
-            if got is not None and want is not None:
-                if all(np.array_equal(x, y) for x, y in zip(got, want)):
-                    continue
-                got, want = linalg.signed_perm_matrix(*got), linalg.signed_perm_matrix(*want)
-            else:
-                elem = CliffordElement.blade(sig, indices)
-                got, want = ext(elem), evaluate(s.rep, elem)
-                if np.array_equal(got, want):
-                    continue
-            failures.append(Failure("blade_round_trip", indices, format_residual(got - want)))
+        masks = [mask for mask in range(1 << s.r) if mask.bit_count() % 2 == 0]
+        blades = [tuple(i + 1 for i in range(s.r) if mask >> i & 1) for mask in masks]
+        for start in range(0, len(blades), _BLADE_BATCH):
+            batch = blades[start : start + _BLADE_BATCH]
+            got, want = ext.blades(batch), blade_images(s.rep, batch)
+            for t in np.flatnonzero(got.differs(want)):
+                failures.append(Failure("blade_round_trip", batch[t], _residual(got[t], want[t])))
     for t, (a, b) in enumerate(products):
         got, want = ext(a * b), linalg.imatmul(ext(a), ext(b))
         if not np.array_equal(got, want):

@@ -14,6 +14,9 @@ from clifflab.structure import StructureError, extend_hodge
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# subprocesses import clifflab from this checkout's src, installed or not
+SRC = str(Path(__file__).parent.parent / "src")
+SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
 GENERATORS = [[0, -1, 1, 0]]
 
 
@@ -286,6 +289,7 @@ class TestVerifyAll:
             [sys.executable, "-O", "-m", "clifflab.cli", "verify-all", "--seed", "0", "--out", str(again)],
             capture_output=True,
             text=True,
+            env=SUBPROCESS_ENV,
         )
         assert result.returncode == 0, result.stderr
         assert again.read_bytes() == verify_all_report
@@ -361,6 +365,7 @@ class TestSubprocessEntry:
             [sys.executable, "-m", "clifflab.cli", "emit-tables", "--dir", str(out)],
             capture_output=True,
             text=True,
+            env=SUBPROCESS_ENV,
         )
         assert result.returncode == 0
         assert (out / "tables.json").exists()
@@ -370,6 +375,7 @@ class TestSubprocessEntry:
             [sys.executable, "-m", "clifflab.cli", "--version"],
             capture_output=True,
             text=True,
+            env=SUBPROCESS_ENV,
         )
         assert result.returncode == 0
         assert "clifflab" in result.stdout

@@ -106,8 +106,8 @@ def test_rank_mod_p_matches_rational_rank_on_small_ints():
 
 
 def test_signed_permutation_predicate():
-    assert linalg.is_signed_permutation(np.array([[0, -1], [1, 0]], dtype=np.int64))
-    assert not linalg.is_signed_permutation(np.array([[1, 1], [0, 1]], dtype=np.int64))
+    assert linalg.signed_perm_columns(np.array([[0, -1], [1, 0]], dtype=np.int64)) is not None
+    assert linalg.signed_perm_columns(np.array([[1, 1], [0, 1]], dtype=np.int64)) is None
 
 
 @pytest.mark.parametrize(
@@ -148,13 +148,14 @@ def test_signed_perm_columns_round_trip():
         assert np.array_equal(got[0], perm) and np.array_equal(got[1], sign)
         assert np.array_equal(linalg.signed_perm_matrix(*got), a)
         # the column form of a product is the composition of the forms
-        sq = linalg.signed_perm_matrix(*linalg.compose_columns(got, got))
-        assert np.array_equal(sq, a @ a)
+        stack = linalg.OperatorStack.of([a], n)
+        assert stack.form == "columns"
+        assert np.array_equal((stack @ stack).matrix(0), a @ a)
 
 
 def test_trace_product():
     a = np.array([[0, -1], [1, 0]], dtype=np.int64)
-    assert linalg.trace_product(a, a) == -2
+    assert linalg.OperatorStack.of([a, a], 2).pair_traces() == [-2]
 
 
 # -- the certificate ladder ----------------------------------------------------
@@ -174,7 +175,62 @@ def test_imatmul_never_wraps():
 
 def test_trace_products_never_wrap():
     big = linalg.as_integer([[2**40, 0], [0, 2**40]])
-    assert linalg.trace_product(big, big) == 2 * 2**80
+    assert linalg.OperatorStack.of([big, big], 2).pair_traces() == [2 * 2**80]
+
+
+def _dense_stack(mats, n):
+    """The stack of ``mats`` with the certificate refused: the dense form."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "signed_perm_columns", lambda a: None)
+        return linalg.OperatorStack.of(mats, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_operator_stack_forms_agree_with_numpy(data):
+    # every operation, on the column form, the dense form and mixed operands
+    n = data.draw(st.integers(1, 6), label="n")
+    k = data.draw(st.integers(1, 4), label="k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    mats = []
+    for _ in range(k):
+        m = linalg.zeros(n)
+        m[rng.permutation(n), np.arange(n)] = rng.choice([-1, 1], n)
+        mats.append(m)
+    cols, dense = linalg.OperatorStack.of(mats, n), _dense_stack(mats, n)
+    assert (cols.form, dense.form, cols.shape, dense.shape) == ("columns", "dense", (k,), (k,))
+    words = data.draw(st.lists(st.lists(st.integers(0, k - 1), max_size=4), max_size=4), label="words")
+    for a, b in ((cols, cols), (dense, dense), (cols, dense), (dense, cols)):
+        prod = a[:, None] @ b[None, :]
+        assert prod.shape == (k, k)
+        for x in range(k):
+            assert np.array_equal(a.T.matrix(x), mats[x].T)
+            assert np.array_equal((-a).matrix(x), -mats[x])
+            for y in range(k):
+                assert np.array_equal(prod.matrix((x, y)), mats[x] @ mats[y])
+        assert a.differs(b[::-1]).tolist() == [not np.array_equal(m, w) for m, w in zip(mats, mats[::-1])]
+        assert not a.differs(b).any() and not a.identity(-1).differs(b.identity(-1))
+        assert a.pair_traces() == [int(np.trace(mats[x] @ mats[y])) for x in range(k) for y in range(x + 1, k)]
+        products = a.word_products(words)
+        assert products.shape == (len(words),)
+        for t, word in enumerate(words):
+            want = linalg.eye(n)
+            for w in word:
+                want = want @ mats[w]
+            assert np.array_equal(products.matrix(t), want)
+        joined = linalg.OperatorStack.concat([a, b.identity()])
+        assert joined.shape == (k + 1,) and np.array_equal(joined.matrix(k), linalg.eye(n))
+    assert cols.word_products(words).form == "columns" and (cols @ dense).form == "dense"
+
+
+def test_lazy_matrices_densify_on_access():
+    mats = [np.array([[0, -1], [1, 0]], dtype=np.int64), linalg.eye(2)]
+    seq = linalg.LazyMatrices(linalg.OperatorStack.of(mats, 2))
+    assert len(seq) == 2 and seq[-1] is seq[1]
+    assert [m.tolist() for m in seq] == [m.tolist() for m in mats]
+    assert [m.tolist() for m in seq[1:]] == [mats[1].tolist()]
+    with pytest.raises(IndexError):
+        seq[2]
 
 
 def test_parse_int_matrix_is_strict():

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clifflab import linalg, structure
-from clifflab.blades import AlgebraSignature, CliffordElement, hodge_dual_element
+from clifflab.blades import AlgebraSignature, CliffordElement, hodge_dual_element, hodge_dual_vector
 from clifflab.reps import (
+    MatrixRep,
     UnsupportedRankError,
     build_clifford_rep,
     build_even_rep,
@@ -20,9 +21,11 @@ from clifflab.reps import (
 from clifflab.structure import (
     EvenCliffordStructure,
     ExtensionRejected,
+    Failure,
     StructureError,
     VolumeError,
     extend_hodge,
+    format_residual,
     split_rank4,
     universal_extension,
     verify_hodge,
@@ -304,8 +307,10 @@ class TestUniversalExtension:
     def test_on_blade_takes_any_index_order(self):
         # sigma_ji = -sigma_ij and sigma_ii = -1, on the column and dense routes
         fam = j_family(build_even_rep(4, 1, 1))
-        dense = structure.JFamily(8, 4, fam.mats)
-        dense.columns = None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "signed_perm_columns", lambda a: None)
+            dense = structure.JFamily(8, 4, fam.mats)
+        assert (fam.stack.form, dense.stack.form) == ("columns", "dense")
         for ext in (universal_extension(fam, 4), universal_extension(dense, 4)):
             assert np.array_equal(ext.on_blade((3, 1)), -fam.j(1, 3))
             assert np.array_equal(ext.on_blade((2, 2, 4, 1)), fam.j(1, 4))
@@ -417,6 +422,54 @@ def _conjugated_family(data, r):
     return n, {key: q @ m @ q.T for key, m in fam.mats.items()}
 
 
+# The dense relation suite as it stood before the operator stack: the oracle
+# for the order of the failures and for their residual strings.
+def _verify_relations_dense(s: EvenCliffordStructure) -> list[Failure]:
+    """Batched dense products, one certified ``imatmul`` per batch; every
+    residual is a product plus at most one more exact term."""
+    n, r = s.n, s.r
+    pairs = s.pairs()
+    order = [(i, j) for i in range(1, r + 1) for j in range(1, r + 1) if i != j]
+    pos = {p: t for t, p in enumerate(order)}
+    stack = np.stack([s.j(i, j) for (i, j) in order])
+    ident = linalg.eye(n)
+    failures = []
+
+    sub = stack[[pos[p] for p in pairs]]
+    squares = linalg.imatmul(sub, sub) + ident
+    for t, (i, j) in enumerate(pairs):
+        res = sub[t] + sub[t].T
+        if res.any():
+            failures.append(Failure("skew_symmetry", (i, j), format_residual(res)))
+        if squares[t].any():
+            failures.append(Failure("unit_square", (i, j), format_residual(squares[t])))
+
+    for i in range(1, r + 1):
+        js = [j for j in range(1, r + 1) if j != i]
+        f = stack[[pos[(i, j)] for j in js]]
+        prod = linalg.imatmul(f[:, None], f[None, :])
+        for a, j in enumerate(js):
+            for b, k in enumerate(js):
+                if j == k:
+                    continue
+                res = prod[a, b] - stack[pos[(j, k)]]
+                if res.any():
+                    failures.append(Failure("shared_index_composition", (i, j, k), format_residual(res)))
+
+    for t, (i, j) in enumerate(pairs):
+        others = [u for u, (k, l) in enumerate(pairs) if u > t and len({i, j, k, l}) == 4]
+        if not others:
+            continue
+        rest = sub[others]
+        diff = linalg.imatmul(sub[t], rest) - linalg.imatmul(rest, sub[t])
+        for slot, u in enumerate(others):
+            if diff[slot].any():
+                failures.append(
+                    Failure("disjoint_commutation", (i, j) + pairs[u], format_residual(diff[slot]))
+                )
+    return failures
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_relation_verdicts_match_python_int_oracle(data):
@@ -455,14 +508,13 @@ def test_fast_kernels_match_the_dense_oracle(data):
             m[:, [a, b]] = m[:, [b, a]]
         mats[key] = m
     s = EvenCliffordStructure.from_matrices(n, r, mats)
-    fast = structure._verify_relations_signed_perm(s)
-    assert fast is not None
-    assert [f.to_dict() for f in fast] == [f.to_dict() for f in structure._verify_relations_dense(s)]
+    assert s.family.stack.form == "columns"
+    fast = verify_relations(s).failures
+    assert [f.to_dict() for f in fast] == [f.to_dict() for f in _verify_relations_dense(s)]
     assert (fast == []) == (change == "none")
     pairs = s.pairs()
-    checked = [(x, y) for x in range(len(pairs)) for y in range(x + 1, len(pairs))]
-    dense = linalg.trace_products([mats[p] for p in pairs], checked)
-    assert structure._signed_perm_traces(*s.family.columns) == dense
+    dense = [int(np.trace(mats[p] @ mats[q])) for x, p in enumerate(pairs) for q in pairs[x + 1 :]]
+    assert s.family.stack.pair_traces() == dense
 
 
 def test_built_families_take_the_fast_paths(monkeypatch):
@@ -474,17 +526,19 @@ def test_built_families_take_the_fast_paths(monkeypatch):
     def refuse(*args):
         raise RuntimeError("dense fallback taken")
 
-    monkeypatch.setattr(structure, "_verify_relations_dense", refuse)
-    monkeypatch.setattr(linalg, "trace_products", refuse)
+    monkeypatch.setattr(linalg, "imatmul", refuse)
+    monkeypatch.setattr(linalg, "signed_perm_matrix", refuse)
     for s in families:
+        assert s.family.stack.form == "columns", (s.n, s.r)
         assert verify_relations(s).passed and verify_orthogonality(s).passed, (s.n, s.r)
 
 
 @pytest.mark.parametrize("r", range(2, 13))
 def test_built_families_are_stored_and_checked_in_column_form(monkeypatch, r):
     # from_rep certifies each generator once and never densifies a J_ij;
-    # relations, orthogonality and the blade round trip read the stored
-    # column forms and densify nothing on a pass
+    # validate, relations, orthogonality, the blade round trip and (at
+    # r = 3 mod 4) the Hodge extension read the stored column forms and
+    # densify nothing on a pass
     rep = build_even_rep(r)
     certify = linalg.signed_perm_columns
 
@@ -499,9 +553,13 @@ def test_built_families_are_stored_and_checked_in_column_form(monkeypatch, r):
     monkeypatch.setattr(linalg, "signed_perm_columns", generators_only)
     monkeypatch.setattr(linalg, "signed_perm_matrix", refuse)
     monkeypatch.setattr(linalg, "imatmul", refuse)
+    assert rep.validate() == []
     s = EvenCliffordStructure.from_rep(rep)
-    assert s.family.columns is not None
-    for check in (verify_relations, verify_orthogonality, verify_universality):
+    assert s.family.stack.form == "columns" and rep.stack.form == "columns"
+    checks = [verify_relations, verify_orthogonality, verify_universality]
+    if r % 4 == 3:
+        checks.append(verify_hodge)
+    for check in checks:
         assert check(s).passed, check.__name__
 
 
@@ -548,9 +606,9 @@ def test_column_and_dense_routes_report_the_same_bytes(data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "signed_perm_columns", lambda a: None)
         dense, dense_products = build()
-        assert dense.family.columns is None and not any(dense.rep.columns)
+        assert dense.family.stack.form == "dense" and dense.rep.stack.form == "dense"
         want = _reports(dense, dense_products)
-    assert (s.family.columns is None) == (variant == "doubled")
+    assert (s.family.stack.form == "dense") == (variant == "doubled")
     assert _reports(s, products) == want
 
 
@@ -586,3 +644,140 @@ def test_accepted_maps_satisfy_the_polarized_identities(data):
     u, v, w = data.draw(vec), data.draw(vec), data.draw(vec)
     assert not (sigma(u, v) + sigma(v, u) + 2 * int(np.dot(u, v)) * ident).any()
     assert not (sigma(v, u) @ sigma(u, w) + int(np.dot(u, u)) * sigma(v, w)).any()
+
+
+# -- validate and extend_hodge against a Python-int oracle ----------------------
+#
+# Matrices of the oracle are lists of rows {column: entry} over Python ints,
+# zero entries left out; the generators drawn below have one or two nonzero
+# entries per row, so every product is cheap.
+
+
+def _rows(m):
+    return [{c: x for c, x in enumerate(row) if x} for row in np.asarray(m).tolist()]
+
+
+def _mul(a, b):
+    out = []
+    for row in a:
+        acc = {}
+        for k, x in row.items():
+            for c, y in b[k].items():
+                acc[c] = acc.get(c, 0) + x * y
+        out.append({c: x for c, x in acc.items() if x})
+    return out
+
+
+def _add(a, b):
+    out = []
+    for x, y in zip(a, b):
+        acc = dict(x)
+        for c, v in y.items():
+            acc[c] = acc.get(c, 0) + v
+        out.append({c: v for c, v in acc.items() if v})
+    return out
+
+
+def _scale(a, s):
+    return [{c: s * x for c, x in row.items()} for row in a]
+
+
+def _transpose(a):
+    out = [{} for _ in a]
+    for i, row in enumerate(a):
+        for c, x in row.items():
+            out[c][i] = x
+    return out
+
+
+def _anticommutation_oracle(mats):
+    """(a, b) of every pair with m_a m_b + m_b m_a != -2 delta_ab, in order."""
+    n = len(mats[0])
+    minus_two, zero = [{c: -2} for c in range(n)], [{} for _ in range(n)]
+    return [
+        (a, b)
+        for a, ma in enumerate(mats)
+        for b, mb in enumerate(mats)
+        if _add(_mul(ma, mb), _mul(mb, ma)) != (minus_two if a == b else zero)
+    ]
+
+
+def _validate_oracle(gens):
+    n = len(gens[0])
+    eye = [{c: 1} for c in range(n)]
+    problems = []
+    for idx, g in enumerate(gens):
+        entries = [next(iter(row.items()), (None, 0)) for row in g]
+        columns = sorted(c for c, _ in entries if c is not None)
+        if not (all(len(row) == 1 for row in g) and all(abs(x) == 1 for _, x in entries) and columns == list(range(n))):
+            problems.append(f"generator {idx} is not a signed permutation")
+        if _transpose(g) != _scale(g, -1):
+            problems.append(f"generator {idx} is not skew-symmetric")
+        if _mul(_transpose(g), g) != eye:
+            problems.append(f"generator {idx} is not orthogonal")
+    problems += [f"anticommutation fails at ({a}, {b})" for a, b in _anticommutation_oracle(gens)]
+    return problems
+
+
+def _hodge_oracle(gens, r):
+    """The K_i of the even family of ``gens`` as dense lists, or the message
+    of the first failure."""
+    n = len(gens[0])
+    j = {(1, b): gens[b - 2] for b in range(2, r + 1)}
+    j.update({(a, b): _mul(gens[a - 2], gens[b - 2]) for a in range(2, r + 1) for b in range(a + 1, r + 1)})
+    sig = AlgebraSignature(r)
+    ks = []
+    for i in range(1, r + 1):
+        dual = hodge_dual_vector(i, sig)
+        rest = dual.index_set
+        k = _scale(j[(rest[0], rest[1])], dual.sign)
+        for t in range(2, len(rest), 2):
+            k = _mul(k, j[(rest[t], rest[t + 1])])
+        ks.append(k)
+    failing = set(_anticommutation_oracle(ks))
+    for a, k in enumerate(ks):
+        if _transpose(k) != _scale(k, -1):
+            return f"Hodge dual image {a + 1} is not skew"
+        for b in range(r):
+            if (a, b) in failing:
+                return f"extension fails anticommutation at ({a + 1}, {b + 1})"
+    return [[[row.get(c, 0) for c in range(n)] for row in k] for k in ks]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_validate_and_hodge_agree_on_both_routes_and_with_python_ints(data):
+    # the same generators, once stored as the certificate decides and once
+    # forced dense; at r = 3 mod 4 the Hodge extension of their family too
+    r = data.draw(st.integers(2, 11), label="r")
+    rep = build_even_rep(r)
+    n, gens = rep.dim, [g.copy() for g in rep.generators]
+    variant = data.draw(st.sampled_from(["valid", "column sign flipped", "columns swapped", "doubled"]), label="variant")
+    t = data.draw(st.integers(0, len(gens) - 1), label="generator")
+    if variant == "column sign flipped":
+        gens[t][:, data.draw(st.integers(0, n - 1), label="column")] *= -1
+    elif variant == "columns swapped":
+        a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True), label="columns")
+        gens[t][:, [a, b]] = gens[t][:, [b, a]]
+    elif variant == "doubled":
+        gens[t] = 2 * gens[t]
+
+    def route():
+        broken = MatrixRep(r, n, "even", tuple(gens), rep.volume_split)
+        hodge = None
+        if r % 4 == 3:
+            try:
+                hodge = [k.tolist() for k in extend_hodge(EvenCliffordStructure.from_rep(broken))]
+            except StructureError as err:
+                hodge = str(err)
+        return broken.stack.form, broken.validate(), hodge
+
+    form, problems, hodge = route()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg.OperatorStack, "of", classmethod(lambda cls, mats, n: cls(n, dense=np.stack(list(mats)))))
+        dense_form, dense_problems, dense_hodge = route()
+    assert (form, dense_form) == ("dense" if variant == "doubled" else "columns", "dense")
+    oracle = [_rows(g) for g in gens]
+    assert problems == dense_problems == _validate_oracle(oracle)
+    assert (problems == []) == (variant == "valid")
+    assert hodge == dense_hodge == (_hodge_oracle(oracle, r) if r % 4 == 3 else None)
