@@ -290,12 +290,10 @@ def _curvature_models(rng) -> VerificationReport:
         failures += _within(name, cc)
         failures += [Failure(f"{name}/bianchi", (), v) for v in violations]
         detail = {"scal": str(model.operator.scalar()), "cc_passed": cc.passed, "bianchi": not violations}
-        # the op2 spectrum is left to `curvature --model op2 --check spectrum`
-        if name != "op2":
-            spectrum = curvature.verify_spectrum(model.operator, model.spectrum_candidates)
-            failures += _within(name, spectrum)
-            eigenvalues = spectrum.data.get("eigenvalues", [])
-            detail["spectrum"] = {e["value"]: e["multiplicity"] for e in eigenvalues}
+        spectrum = curvature.verify_spectrum(model.operator, model.spectrum_candidates)
+        failures += _within(name, spectrum)
+        eigenvalues = spectrum.data.get("eigenvalues", [])
+        detail["spectrum"] = {e["value"]: e["multiplicity"] for e in eigenvalues}
         data[name] = detail
     return VerificationReport("curvature_models", failures, data)
 

@@ -19,8 +19,10 @@ denominator; every check is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -119,11 +121,17 @@ class CurvatureOperator:
 
 def _projection_matrix(basis: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
     """Orthogonal projection of the pair-coordinate space onto the span of
-    independent skew matrices, as (numerator, den): P = B (B^T B)^-1 B^T for
-    their coordinate columns B."""
+    trace-orthogonal nonzero skew matrices, as (numerator, den): P = B
+    diag(1/g) B^T for their coordinate columns B, B^T B = diag(g) certified."""
     b = np.stack([linalg.skew_to_coords(g) for g in basis], axis=1)
-    inv_num, inv_den = linalg.inverse(linalg.imatmul(b.T, b))
-    return linalg.normalize(linalg.imatmul(linalg.imatmul(b, inv_num), b.T), inv_den)
+    try:
+        norms = linalg.orthogonal_gram(b)
+    except ValueError as err:
+        raise CurvatureError(f"ideal generators are not an orthogonal basis: {err}") from err
+    # every entry of B diag(den/g) is at most den in absolute value
+    den = math.lcm(*norms)
+    scaled = linalg.exact(b * np.array([den // g for g in norms], dtype=object), den)
+    return linalg.normalize(linalg.imatmul(scaled, b.T), den)
 
 
 def isotropy_projection_op(
@@ -131,8 +139,9 @@ def isotropy_projection_op(
 ) -> CurvatureOperator:
     """Curvature operator c_1 P_1 + c_2 P_2 + ... for ideals of a subalgebra.
 
-    Each ideal is given by a spanning list of skew matrices; P projects the
-    space of 2-forms orthogonally (trace pairing) onto its span.  Bracket
+    Each ideal is given by a basis of nonzero, pairwise trace-orthogonal skew
+    matrices (CurvatureError otherwise; the norms may differ); P projects
+    the space of 2-forms orthogonally (trace pairing) onto its span.  Bracket
     closure of each ideal and vanishing of cross brackets are checked, then
     the induced (4,0) tensor is built and the first Bianchi identity is
     checked rather than assumed: scales violating it raise CalibrationError.
@@ -191,36 +200,31 @@ def lambda2_spectrum(
 ) -> list[tuple[Fraction, int]]:
     """Verified eigenvalue/multiplicity list of R^ on 2-forms.
 
-    Exact: each multiplicity is a kernel dimension, the multiplicities must
-    exhaust the space, and the product of (R^ - lambda) over the candidates
-    must annihilate it, which proves no eigenvalue was missed.
+    Exact, with no symmetry assumed: the product of (R^ - c) over the
+    distinct candidates must vanish, which proves R^ diagonalisable with
+    every eigenvalue a candidate.  The multiplicity of c is then the trace
+    of its Lagrange projector prod_{d != c} (R^ - d) / (c - d); candidates
+    of multiplicity zero are dropped.
     """
     rhat_num, den = op.rhat_matrix()
-    m = rhat_num.shape[0]
-    ident = linalg.eye(m)
+    cands = sorted({Fraction(c) for c in candidates})
+    # A = k R^ is an integer matrix with the integer eigenvalues k c
+    k = den * math.lcm(*(c.denominator for c in cands))
+    eig = {c: int(k * c) for c in cands}
+    bound = k * linalg.max_abs(rhat_num) + max(map(abs, eig.values()), default=0)
+    ident = linalg.exact(linalg.eye(len(rhat_num)), bound)
+    shifted = {c: k // den * linalg.exact(rhat_num, bound) - e * ident for c, e in eig.items()}
 
-    def shifted(lam: Fraction) -> np.ndarray:
-        # a positive multiple of R^ - lam with integer entries
-        terms = ((lam.denominator, rhat_num), (-lam.numerator * den, ident))
-        return linalg.rational_combination(terms, m)[0]
+    def product(skip=None) -> np.ndarray:
+        return reduce(linalg.imatmul, [f for c, f in shifted.items() if c != skip], ident)
 
-    out = []
-    total = 0
-    for lam in sorted({Fraction(c) for c in candidates}):
-        mult = m - linalg.rank(shifted(lam))
-        if mult:
-            out.append((lam, mult))
-            total += mult
-    if total != m:
-        raise CurvatureError(
-            f"candidate eigenvalues cover {total} of {m} dimensions; spectrum incomplete"
-        )
-    prod = ident
-    for lam, _ in out:
-        prod = linalg.imatmul(prod, shifted(lam))
-    if prod.any():
-        raise CurvatureError("annihilating polynomial check failed; spectrum incomplete")
-    return out
+    if product().any():
+        raise CurvatureError("the product of (R^ - c) over the candidates does not vanish; spectrum incomplete")
+    mults = {
+        c: sum(np.diagonal(product(skip=c)).tolist()) // math.prod(eig[c] - e for d, e in eig.items() if d != c)
+        for c in cands
+    }
+    return [(c, mult) for c, mult in mults.items() if mult]
 
 
 def verify_spectrum(op: CurvatureOperator, candidates: Sequence[Fraction | int]) -> VerificationReport:

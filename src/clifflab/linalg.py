@@ -18,11 +18,11 @@ when it is built, whether it keeps them as signed-permutation column forms
 or as dense exact arrays, and every operation means the same on both, so
 no caller asks which form a stack has.
 
-Elimination is fraction-free (Bareiss 1968, Math. Comp. 22): every entry of
-the working matrix is a minor of the input, every division is exact, and the
-reduced echelon form comes out as ``(num, den)`` with den the pivot minor.
-``rank``, ``nullspace`` (a primitive integer basis) and ``inverse`` are built
-on it.  The working dtype is int64 only under a Hadamard bound on all minors.
+Every matrix the library inverts has orthogonal columns, certified by
+``orthogonal_gram``, so no library path eliminates.  ``rref``, ``rank``,
+``nullspace`` (a primitive integer basis) and ``inverse`` are the reference
+tests compare against: fraction-free elimination (Bareiss 1968, Math.
+Comp. 22) in Python ints, with the reduced echelon form as ``(num, den)``.
 """
 
 from __future__ import annotations
@@ -86,8 +86,10 @@ def signed_perm_matrix(perm: np.ndarray, sign: np.ndarray) -> np.ndarray:
 
 
 def max_abs(a: np.ndarray) -> int:
-    """Largest absolute entry as a Python int (0 for an empty array)."""
-    return int(np.abs(a).max(initial=0))
+    """Largest absolute entry as a Python int (0 for an empty array), taken
+    from the extremes: np.abs wraps the int64 -2^63 to itself."""
+    a = np.asarray(a)
+    return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
 def exact(a: np.ndarray, bound: int) -> np.ndarray:
@@ -338,39 +340,42 @@ class LazyMatrices(Sequence):
 
 
 # ---------------------------------------------------------------------------
-# Elimination over the integers (Bareiss).
+# Orthogonality certificate, and elimination over the integers (Bareiss).
 # ---------------------------------------------------------------------------
 
 
-def _minor_bound(a: np.ndarray) -> int:
-    """Hadamard bound on every minor: a k x k minor is at most the product
-    of the k largest row norms, k <= min(rows, cols).  Rounded up to a
-    power of two with one bit of slack for float rounding."""
-    with np.errstate(over="ignore"):
-        norms = np.sort(np.sqrt((a.astype(np.float64) ** 2).sum(axis=1)))[::-1][: min(a.shape)]
-        log2 = float(np.log2(norms[norms > 1]).sum())
-    if not math.isfinite(log2):
-        return _INT64_BOUND
-    return 2 ** (math.ceil(log2) + 1)
+def orthogonal_gram(b) -> list[int]:
+    """The squared column norms g of an integer matrix b, certified: b^T b =
+    diag(g) with every g > 0, so diag(1/g) b^T is a left inverse of b.
+    ValueError names the first pair of columns that is not orthogonal, or
+    else the first zero column."""
+    b = np.asarray(b)
+    gram = imatmul(b.T, b)
+    bad = np.argwhere(np.triu(gram, 1))
+    if len(bad):
+        i, j = bad[0].tolist()
+        raise ValueError(f"columns {i} and {j} are not orthogonal (inner product {gram[i, j]})")
+    g = np.diagonal(gram).tolist()
+    if 0 in g:
+        raise ValueError(f"column {g.index(0)} is zero")
+    return g
 
 
-def _eliminate(a, reduced: bool) -> tuple[np.ndarray, list[int]]:
-    """Bareiss elimination; returns the working matrix and pivot columns.
+def rref(a) -> tuple[np.ndarray, int, list[int]]:
+    """Reduced row echelon form as (numerator, denominator, pivot columns).
 
-    Row echelon form when ``reduced`` is false.  Otherwise every pivot row is
-    cleared above and below, and after the last step all pivots equal the
-    final pivot d, so the matrix is d times the reduced row echelon form.
+    It is fraction-free: the numerator is an integer matrix and the positive
+    denominator is the leading pivot minor; rows past the rank are zero.
+    Every division is exact, and after the last step all pivots equal it.
     """
     m = np.array(a, dtype=object)
     if m.ndim != 2:
         raise ValueError("elimination needs a 2-d matrix")
-    # updates form p * x - q * y of two minors: twice the square of the bound
-    m = exact(m, 2 * _minor_bound(m) ** 2) if m.size else m
     n_rows, n_cols = m.shape
     pivots: list[int] = []
     prev = 1
-    r = 0
     for c in range(n_cols):
+        r = len(pivots)
         if r == n_rows:
             break
         nz = np.nonzero(m[r:, c])[0]
@@ -380,22 +385,11 @@ def _eliminate(a, reduced: bool) -> tuple[np.ndarray, list[int]]:
         if i != r:
             m[[r, i]] = m[[i, r]]
         p = m[r, c]
-        rows = np.arange(n_rows) != r if reduced else np.arange(n_rows) > r
+        rows = np.arange(n_rows) != r
         rest = m[rows]
         m[rows] = (p * rest - np.outer(rest[:, c], m[r])) // prev
         prev = p
         pivots.append(c)
-        r += 1
-    return m, pivots
-
-
-def rref(a) -> tuple[np.ndarray, int, list[int]]:
-    """Reduced row echelon form as (numerator, denominator, pivot columns).
-
-    It is fraction-free: the numerator is an integer matrix and the positive
-    denominator is the leading pivot minor; rows past the rank are zero.
-    """
-    m, pivots = _eliminate(a, reduced=True)
     if not pivots:
         return _shrink(m), 1, pivots
     den = m[len(pivots) - 1, pivots[-1]]
@@ -405,11 +399,9 @@ def rref(a) -> tuple[np.ndarray, int, list[int]]:
 
 
 def rank(a) -> int:
-    """Rational rank of an integer matrix."""
+    """Rational rank of an integer matrix: the pivot count of ``rref``."""
     m = np.asarray(a)
-    if m.size == 0:
-        return 0
-    return len(_eliminate(m, reduced=False)[1])
+    return len(rref(m)[2]) if m.size else 0
 
 
 def nullspace(a) -> np.ndarray:

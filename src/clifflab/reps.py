@@ -15,6 +15,7 @@ block multiplicities (m_plus, m_minus).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -441,9 +442,6 @@ class JFamily:
     def pairs(self):
         return list(self._pairs)
 
-    def span_dimension(self) -> int:
-        return linalg.rank(np.stack([linalg.skew_to_coords(self.mats[p]) for p in self.pairs()]))
-
 
 def j_family(rep: MatrixRep) -> JFamily:
     """J_ij, the image of the blade e_i e_j: g_i g_j for a full rep, and
@@ -465,7 +463,7 @@ class TrialityCertificate:
     map_num / map_den acts on coordinates of skew 8x8 matrices (see linalg)
     and is defined by sending half of each plus-block J_ij to the elementary
     rotation with the same labels.  The certificate records that the
-    defining system was invertible and that all basis brackets are
+    defining system has orthogonal columns and that all basis brackets are
     preserved, and it carries the pulled-back family: the images of the
     doubled elementary rotations, i.e. of the generators e_a . e_b of the
     even algebra over the half-spin bundle.  That family is again a Clifford
@@ -498,13 +496,14 @@ def triality_map() -> TrialityCertificate:
 
     pairs = sorted(plus)
     # Columns: coordinates of J+_ij; the map inverts their halves, so it is
-    # twice the inverse of this integer matrix.
+    # twice the inverse diag(1/g) cols^T of this orthogonal integer matrix.
     cols = np.stack([linalg.skew_to_coords(plus[p]) for p in pairs], axis=1)
     try:
-        inv_num, inv_den = linalg.inverse(cols)
-    except ValueError:
-        raise RepresentationError("triality system is singular; construction broken")
-    map_num, map_den = linalg.normalize(2 * inv_num, inv_den)
+        norms = linalg.orthogonal_gram(cols)
+    except ValueError as err:
+        raise RepresentationError(f"triality columns are not an orthogonal basis: {err}; construction broken") from err
+    den = math.lcm(*norms)
+    map_num, map_den = linalg.normalize(2 * np.array([den // g for g in norms])[:, None] * cols.T, den)
 
     # Bracket preservation on all basis pairs, as one product:
     # phi([J/2, J'/2]) = phi([J, J'])/4 must be the bracket of the rotations.

@@ -307,6 +307,8 @@ class TestVerifyAll:
             "centralizers",
             "classification",
         ]
+        models = next(s for s in report["suites"] if s["suite"] == "curvature_models")["data"]
+        assert models["op2"]["spectrum"] == {"0": 84, "8": 36}
 
     def test_failing_sub_check_is_reported_with_its_context(self, monkeypatch, tmp_path):
         def broken(s):

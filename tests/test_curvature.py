@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from clifflab import linalg
 from clifflab.curvature import (
+    MODEL_NAMES,
     CalibrationError,
     CurvatureError,
     CurvatureOperator,
@@ -68,6 +69,25 @@ def so_basis(n):
 def constant_curvature(n, c):
     """Constant curvature c: the isotropy projection at c on all of so(n)."""
     return isotropy_projection_op([so_basis(n)], [c])
+
+
+def rank_spectrum(op, candidates):
+    """Oracle: the multiplicity of c is the kernel dimension m - rank(R^ - c)."""
+    rhat, den = op.rhat_matrix()
+    m = rhat.shape[0]
+    out = []
+    for c in sorted({Fraction(c) for c in candidates}):
+        mult = m - linalg.rank(c.denominator * rhat - c.numerator * den * linalg.eye(m))
+        if mult:
+            out.append((c, mult))
+    return out
+
+
+def elimination_projection(basis):
+    """Oracle: B (B^T B)^-1 B^T for the coordinate columns B, by elimination."""
+    b = np.stack([linalg.skew_to_coords(g) for g in basis], axis=1)
+    inv_num, inv_den = linalg.inverse(linalg.imatmul(b.T, b))
+    return linalg.normalize(linalg.imatmul(linalg.imatmul(b, inv_num), b.T), inv_den)
 
 
 def model_ideals(name):
@@ -198,6 +218,38 @@ class TestIsotropyProjection:
         ref = textbook_op(8, 1, quaternion_units(2))
         assert np.array_equal(op.num, ref.num) and op.den == ref.den
 
+    def test_unequal_norms_give_the_elimination_projection(self):
+        # two copies of the Cl0_5 module: the commutant basis has squared
+        # norms 4 and 8, and span{J_ij} + commutant at equal scales is the
+        # quaternionic Grassmannian Sp(4)/Sp(2)Sp(2)
+        rep = build_even_rep(5, 2)
+        fam = j_family(rep)
+        family = [fam.mats[p] for p in fam.pairs()]
+        _, commutant = centralizer_dim(rep.generators)
+        norms = linalg.orthogonal_gram(np.stack([linalg.skew_to_coords(g) for g in commutant], axis=1))
+        assert set(norms) == {4, 8}
+        op = isotropy_projection_op([family, commutant], [1, 1])
+        (pj, dj), (pc, dc) = elimination_projection(family), elimination_projection(commutant)
+        want = linalg.rational_combination([(Fraction(1, dj), pj), (Fraction(1, dc), pc)], len(pj))
+        rhat, den = op.rhat_matrix()
+        assert np.array_equal(rhat, want[0]) and den == want[1]
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([(1, 2), (1, 2)], "columns 0 and 1 are not orthogonal"),
+            ([(1, 2), "sum"], "columns 0 and 1 are not orthogonal"),
+            ([(1, 2), "zero"], "column 1 is zero"),
+        ],
+        ids=["repeated", "J_12 and J_12 + J_13", "zero matrix"],
+    )
+    def test_non_orthogonal_basis_raises(self, pairs, message):
+        fam = j_family(build_even_rep(5))
+        extra = {"sum": fam.mats[(1, 2)] + fam.mats[(1, 3)], "zero": linalg.zeros(8)}
+        ideal = [extra[p] if isinstance(p, str) else fam.mats[p] for p in pairs]
+        with pytest.raises(CurvatureError, match=message):
+            isotropy_projection_op([ideal], [1])
+
     def test_s8_model_is_constant_curvature_4(self):
         op = build_model("s8").operator
         ref = textbook_op(8, 4)
@@ -217,8 +269,48 @@ class TestSpectrum:
 
     def test_incomplete_candidates_rejected(self):
         m = build_model("cp4")
-        with pytest.raises(CurvatureError):
+        with pytest.raises(CurvatureError, match="spectrum incomplete$"):
             lambda2_spectrum(m.operator, [0, 4])
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "s8",
+            "cp4",
+            "hp2",
+            "op2",
+            "constant curvature",
+            "Fubini-Study",
+            "quaternionic",
+        ],
+    )
+    def test_multiplicities_are_kernel_dimensions(self, case):
+        if case in MODEL_NAMES:
+            m = build_model(case)
+            op, candidates = m.operator, m.spectrum_candidates
+        else:
+            op, candidates = {
+                "constant curvature": (constant_curvature(5, Fraction(3, 2)), [Fraction(3, 2)]),
+                "Fubini-Study": (textbook_op(6, Fraction(5, 8), [standard_kahler(3)]), [0, Fraction(5, 4), 5]),
+                "quaternionic": (textbook_op(8, Fraction(1, 2), quaternion_units(2)), [0, 2, 4]),
+            }[case]
+        # padded with values that are not eigenvalues, which must be dropped
+        padded = [*candidates, -1, Fraction(1, 3), 7]
+        want = rank_spectrum(op, padded)
+        assert lambda2_spectrum(op, padded) == want
+        assert sum(mult for _, mult in want) == op.n * (op.n - 1) // 2
+
+    @pytest.mark.parametrize("candidates", [[0], [0, 1], [-1, 0, 2]])
+    def test_jordan_block_is_refused(self, candidates):
+        # R^ sends the (0, 2) pair to the (0, 1) pair and is nilpotent: its
+        # only eigenvalue 0 is a candidate, but R^ is not diagonalisable
+        num = np.zeros((3, 3, 3, 3), dtype=np.int64)
+        num[0, 1, 0, 2] = -1
+        op = CurvatureOperator(3, num, check=False)
+        rhat, _ = op.rhat_matrix()
+        assert np.array_equal(rhat, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+        with pytest.raises(CurvatureError, match="spectrum incomplete$"):
+            lambda2_spectrum(op, candidates)
 
 
 class TestParallelIdentities:

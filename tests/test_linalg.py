@@ -96,6 +96,37 @@ def test_inverse_singular_raises():
         linalg.inverse(linalg.intmat([[1, 1], [1, 1]]))
 
 
+def test_orthogonal_gram_certifies_diagonal_norms():
+    b = linalg.intmat([[1, 1, 0], [1, -1, 0], [0, 0, 2]])
+    assert linalg.orthogonal_gram(b) == [2, 2, 4]
+    # Python-int input keeps exact norms past 2^63
+    big = np.array([[2**40, 0], [0, -(2**70)]], dtype=object)
+    assert linalg.orthogonal_gram(big) == [2**80, 2**140]
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[1, 1, 0], [0, 1, 1], [0, 0, 1]], "columns 0 and 1 are not orthogonal (inner product 1)"),
+        ([[1, 0, 0], [0, 1, 1], [0, 1, 1]], "columns 1 and 2 are not orthogonal (inner product 2)"),
+        ([[1, 0, 0], [0, 0, 0], [0, 0, 3]], "column 1 is zero"),
+    ],
+    ids=["first pair", "later pair", "zero column"],
+)
+def test_orthogonal_gram_names_the_failure(rows, message):
+    with pytest.raises(ValueError) as err:
+        linalg.orthogonal_gram(linalg.intmat(rows))
+    assert str(err.value) == message
+
+
+def test_max_abs_takes_int64_min_exactly():
+    a = np.array([[0, -(2**63)], [3, 0]], dtype=np.int64)
+    assert linalg.max_abs(a) == 2**63
+    assert linalg.max_abs(np.array([], dtype=np.int64)) == 0
+    assert linalg.max_abs(np.array([-(2**70), 5], dtype=object)) == 2**70
+    assert linalg.as_integer(a).dtype == object
+
+
 def test_rank_mod_p_matches_rational_rank_on_small_ints():
     rng = random.Random(5)
     for _ in range(20):

@@ -24,6 +24,11 @@ from clifflab.reps import (
 )
 
 
+def span_dimension(fam):
+    """Dimension of the span of the J_ij: the rank of their stacked coordinates."""
+    return linalg.rank(np.stack([linalg.skew_to_coords(fam.mats[p]) for p in fam.pairs()]))
+
+
 def rand_even_element(rng, sig, n_terms=3):
     out = CliffordElement.zero(sig)
     for _ in range(n_terms):
@@ -142,7 +147,7 @@ class TestEvenRepresentations:
     def test_rank5_span_dimension(self):
         fam = j_family(build_even_rep(5))
         assert fam.n == 8
-        assert fam.span_dimension() == 10
+        assert span_dimension(fam) == 10
 
     def test_multiplicity_collapse_for_rank_not_div_4(self):
         rep = build_even_rep(5, 1, 1)
@@ -329,14 +334,14 @@ class TestJFamily:
     @pytest.mark.parametrize("r", [2, 3, 5, 6, 7, 8, 9])
     def test_span_dimension_full_rank(self, r):
         fam = j_family(build_even_rep(r))
-        assert fam.span_dimension() == r * (r - 1) // 2
+        assert span_dimension(fam) == r * (r - 1) // 2
 
     def test_rank4_block_span_collapses(self):
         # on one irreducible block the six J_ij span strictly fewer than
         # six dimensions (the volume ties opposite pairs together)
         fam = j_family(build_even_rep(4, 1, 0))
-        assert fam.span_dimension() < 6
-        assert fam.span_dimension() == 3
+        assert span_dimension(fam) < 6
+        assert span_dimension(fam) == 3
 
 
 class TestTriality:

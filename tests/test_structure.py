@@ -1,5 +1,6 @@
 import json
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -111,6 +112,16 @@ class TestVerifyRelations:
         assert max(int(abs(m).max()) for m in conj.values()) >= 2**40
         report = verify_relations(EvenCliffordStructure.from_matrices(4, 3, conj))
         assert {f.identity for f in report.failures} == {"skew_symmetry"}
+
+    def test_int64_min_entry_is_judged_exactly(self):
+        # -J and J^2 of an entry -2^63 leave int64: the skew residual is
+        # 2^64 and the unit square 2^126 + 1, with no cast warning
+        mats = {(1, 2): np.array([[0, -(2**63)], [-(2**63), 0]], dtype=np.int64)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_relations(EvenCliffordStructure.from_matrices(2, 2, mats))
+        residuals = {f.identity: f.residual for f in report.failures}
+        assert residuals == {"skew_symmetry": str(2**64), "unit_square": str(2**126 + 1)}
 
     def test_non_integer_matrix_rejected(self):
         fam = j_family(build_even_rep(2))
