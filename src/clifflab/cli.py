@@ -272,8 +272,6 @@ def _universality(rng) -> VerificationReport:
 def _triality(rng) -> VerificationReport:
     cert = reps.triality_map()
     failures = []
-    if not cert.bijective:
-        failures.append(Failure("bijective", (), "the defining system is singular"))
     if not cert.brackets_exact:
         failures.append(Failure("brackets_exact", (), "a basis bracket is not preserved"))
     pulled = structure.EvenCliffordStructure(8, 8, cert.pulled_back)

@@ -274,11 +274,31 @@ class OperatorStack:
             return self._dense[idx]
         return signed_perm_matrix(self._perm[idx], self._sign[idx])
 
+    def kron(self, other: "OperatorStack") -> "OperatorStack":
+        """The Kronecker product of every matrix with the matching matrix of
+        ``other``, batch shapes broadcast as in ``@``; each matrix means what
+        ``np.kron`` of the two would."""
+        n, m = self.n * other.n, other.n
+        if self._dense is not None or other._dense is not None:
+            a, b = self._array(), other._array()
+            bound = max_abs(a) * max_abs(b)
+            out = exact(a, bound)[..., :, None, :, None] * exact(b, bound)[..., None, :, None, :]
+            return OperatorStack(n, dense=out.reshape(out.shape[:-4] + (n, n)))
+        # (A (x) B) e_(a m + b) = s_A[a] s_B[b] e_(p_A[a] m + p_B[b])
+        perm = self._perm[..., :, None] * m + other._perm[..., None, :]
+        sign = self._sign[..., :, None] * other._sign[..., None, :]
+        return OperatorStack(n, perm.reshape(perm.shape[:-2] + (n,)), sign.reshape(sign.shape[:-2] + (n,)))
+
+    @classmethod
+    def diagonal(cls, signs) -> "OperatorStack":
+        """The diagonal matrix of the +-1 entries ``signs``, without batch axes."""
+        return cls(len(signs), np.arange(len(signs)), np.array(signs, dtype=np.int8))
+
     def identity(self, s: int = 1) -> "OperatorStack":
         """s times the identity, s = +-1, without batch axes."""
         if self._dense is not None:
             return OperatorStack(self.n, dense=s * eye(self.n))
-        return OperatorStack(self.n, np.arange(self.n), np.full(self.n, s, dtype=np.int8))
+        return OperatorStack.diagonal([s] * self.n)
 
     def word_products(self, words) -> "OperatorStack":
         """The product of self[w] over each word in ``words`` (the identity
@@ -332,7 +352,7 @@ class LazyMatrices(Sequence):
 
     def __getitem__(self, t):
         if isinstance(t, slice):
-            return [self[u] for u in range(len(self))[t]]
+            return tuple(self[u] for u in range(len(self))[t])
         t = range(len(self))[t]
         if t not in self._made:
             self._made[t] = self._stack.matrix(t)

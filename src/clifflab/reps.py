@@ -1,10 +1,12 @@
 """Integer matrix representations of Cl_r and of its even subalgebra.
 
 Generators are built from a fixed Kronecker-product scheme over 2x2 signed
-permutation matrices, with a period-8 doubling step.  Every generator is a
-skew-symmetric signed permutation matrix and the anticommutation relations
-hold exactly over the integers.  The scheme itself is not part of the
-contract; the invariants checked by ``MatrixRep.validate`` are.
+permutation matrices, with a period-8 doubling step, composed as column
+forms in one ``linalg.OperatorStack``; a generator is dense only at the
+JSON boundary.  Every generator is a skew-symmetric signed permutation
+matrix and the anticommutation relations hold exactly over the integers.
+The scheme itself is not part of the contract; the invariants checked by
+``MatrixRep.validate`` are.
 
 The even algebra is handled through the isomorphism Cl0_r ~ Cl_{r-1} sending
 e_1 . e_{i+1} to the i-th generator of Cl_{r-1}.  For r divisible by 4 the
@@ -18,7 +20,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -26,9 +28,9 @@ from . import linalg
 from .blades import AlgebraSignature, CliffordElement, volume_element
 
 DEFAULT_MAX_RANK = 16
-# up to r = 23 (n = 2048) the relation and orthogonality suites take about
-# 3 s and under 0.8 GB, set by the dense generators; the 23 generators of
-# r = 24 (n = 4096) alone would take 3.1 GB
+# up to r = 23 (n = 2048) building, validate and the relation and
+# orthogonality suites take under 2 s and 0.1 GB; repgen writes n^2 JSON
+# integers per generator, which keeps the ceiling here
 HARD_MAX_RANK = 23
 
 _BASE_DIMS = (2, 4, 4, 8, 8, 8, 8, 16)
@@ -69,62 +71,52 @@ def n0(r: int) -> int:
 
 # -- generator construction --------------------------------------------------
 
-_EPS = linalg.intmat([[0, -1], [1, 0]])
-_TAU = linalg.intmat([[1, 0], [0, -1]])
-_SIG = linalg.intmat([[0, 1], [1, 0]])
-_I2 = linalg.eye(2)
+
+def _unit(rows) -> linalg.OperatorStack:
+    return linalg.OperatorStack.of([linalg.intmat(rows)], len(rows))[0]
 
 
-def _kron(*ms: np.ndarray) -> np.ndarray:
-    return reduce(np.kron, ms)
+def _eye(n: int) -> linalg.OperatorStack:
+    return linalg.OperatorStack.diagonal([1] * n)
 
+
+_EPS = _unit([[0, -1], [1, 0]])
+_TAU = linalg.OperatorStack.diagonal([1, -1])
+_SIG = _unit([[0, 1], [1, 0]])
+_I2 = _eye(2)
 
 # Quaternion units acting on R^4 from the right; they commute with the
 # rank-3 family below and obey B C = D.
-_QUAT_B = _kron(_EPS, _I2)
-_QUAT_C = _kron(_TAU, _EPS)
-_QUAT_D = _kron(_SIG, _EPS)
+_QUAT = linalg.OperatorStack.concat([_EPS.kron(_I2), _TAU.kron(_EPS), _SIG.kron(_EPS)])
 
 
 def quaternion_units(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Right quaternion multiplications I, J, K on R^(4q) = H^q."""
     if q < 1:
         raise ValueError("q must be positive")
-    iq = linalg.eye(q)
-    return _kron(_QUAT_B, iq), _kron(_QUAT_C, iq), _kron(_QUAT_D, iq)
+    units = _QUAT.kron(_eye(q))
+    return units.matrix(0), units.matrix(1), units.matrix(2)
 
 
-def _base_generators(r: int) -> list[np.ndarray]:
+def _base_generators(r: int) -> linalg.OperatorStack:
+    concat = linalg.OperatorStack.concat
+    if r == 1:
+        return concat([_EPS])
     if r <= 3:
-        gens = [_kron(_EPS, _TAU), _kron(_EPS, _SIG), _kron(_I2, _EPS)]
-        if r == 1:
-            return [_EPS.copy()]
-        return gens[:r]
+        return concat([_EPS.kron(_TAU), _EPS.kron(_SIG), _I2.kron(_EPS)])[:r]
     if r <= 7:
-        a1, a2, a3 = _base_generators(3)
-        gens = [
-            _kron(a1, _TAU),
-            _kron(a2, _TAU),
-            _kron(a3, _TAU),
-            _kron(linalg.eye(4), _EPS),
-            _kron(_QUAT_B, _SIG),
-            _kron(_QUAT_C, _SIG),
-            _kron(_QUAT_D, _SIG),
-        ]
-        return gens[:r]
+        return concat([_base_generators(3).kron(_TAU), _eye(4).kron(_EPS), _QUAT.kron(_SIG)])[:r]
     if r == 8:
-        prev = _base_generators(7)
-        return [_kron(g, _TAU) for g in prev] + [_kron(linalg.eye(8), _EPS)]
+        return concat([_base_generators(7).kron(_TAU), _eye(8).kron(_EPS)])
     # Period-8 step: tensor the lower family with the Cl_8 volume and append
     # a fresh Cl_8 block.
     gamma = _base_generators(8)
-    omega = reduce(np.matmul, gamma)
+    omega = gamma.word_products([range(8)])[0]
     prev = _base_generators(r - 8)
-    n_prev = prev[0].shape[0]
-    return [_kron(g, omega) for g in prev] + [_kron(linalg.eye(n_prev), g) for g in gamma]
+    return concat([prev.kron(omega), _eye(prev.n).kron(gamma)])
 
 
-def _generators_with_volume_sign(r: int, sign: int) -> list[np.ndarray]:
+def _generators_with_volume_sign(r: int, sign: int) -> linalg.OperatorStack:
     """Irreducible Cl_r family whose central volume acts as sign * identity.
 
     Only meaningful for r = 3 mod 4, where the volume is a central involution.
@@ -132,65 +124,56 @@ def _generators_with_volume_sign(r: int, sign: int) -> list[np.ndarray]:
     if r % 4 != 3:
         raise RepresentationError(f"rank {r}: the volume is a central involution only for r = 3 mod 4")
     gens = _base_generators(r)
-    stack = linalg.OperatorStack.of(gens, gens[0].shape[0])
-    vol = stack.word_products([range(len(gens))])[0]
-    if not vol.differs(stack.identity(sign)):
+    vol = gens.word_products([range(r)])[0]
+    if not vol.differs(gens.identity(sign)):
         return gens
-    if vol.differs(stack.identity(-sign)):
+    if vol.differs(gens.identity(-sign)):
         raise RepresentationError(f"rank {r}: the volume is not +-identity; construction broken")
-    return gens[:-1] + [-gens[-1]]
+    # negating one generator negates the volume
+    return linalg.OperatorStack.concat([gens[:-1], -gens[-1]])
 
 
-def _block_diag(mats: list[np.ndarray]) -> np.ndarray:
-    """The block-diagonal matrix of ``mats``; a single block is returned as
-    it is, not copied, so a one-copy rep holds its generators only once."""
-    if len(mats) == 1:
-        return mats[0]
-    n = sum(m.shape[0] for m in mats)
-    out = linalg.zeros(n)
-    at = 0
-    for m in mats:
-        k = m.shape[0]
-        out[at : at + k, at : at + k] = m
-        at += k
-    return out
-
-
-@dataclass(frozen=True)
 class MatrixRep:
     """A family of exact integer generator matrices.
 
     kind 'full': generators[i] represents e_{i+1} of Cl_rank.
     kind 'even': generators[i] represents e_1 . e_{i+2} inside Cl0_rank.
+
+    ``stack`` holds the generators as one ``linalg.OperatorStack``; the
+    builders give it, and matrices given instead are certified into it
+    once, on first use.  ``generators`` are the given matrices, or else
+    the stack's matrices, each made on first access.  A rep is not to be
+    changed after construction.
     """
 
-    rank: int
-    dim: int
-    kind: str
-    generators: tuple[np.ndarray, ...]
-    volume_split: tuple[int, int] | None = None
+    def __init__(self, rank: int, dim: int, kind: str, generators=None, volume_split=None, *, stack=None):
+        self.rank, self.dim, self.kind, self.volume_split = rank, dim, kind, volume_split
+        self._given = None if generators is None else tuple(generators)
+        self.generators = linalg.LazyMatrices(stack) if self._given is None else self._given
+        if stack is not None:
+            self.stack = stack
 
     @cached_property
     def stack(self) -> linalg.OperatorStack:
-        """The generators as one stack, certified once."""
-        return linalg.OperatorStack.of(self.generators, self.dim)
+        return linalg.OperatorStack.of(self._given, self.dim)
 
     def validate(self) -> list[str]:
         """Check the structural invariants; returns a list of violations.
 
         A generator of the wrong shape is reported alone, since no identity
-        between generators of different shapes can be checked.
+        between generators of different shapes can be checked.  Only a
+        dense stack can hold a matrix that is not a signed permutation.
         """
         n = self.dim
-        shapes = [f"generator {idx} has shape {g.shape}" for idx, g in enumerate(self.generators) if g.shape != (n, n)]
+        shapes = [f"generator {idx} has shape {g.shape}" for idx, g in enumerate(self._given or ()) if g.shape != (n, n)]
         if shapes:
             return shapes
         g = self.stack
         not_skew = g.differs(-g.T)
         not_orthogonal = (g.T @ g).differs(g.identity())
         problems = []
-        for idx, m in enumerate(self.generators):
-            if linalg.signed_perm_columns(m) is None:
+        for idx in range(len(g)):
+            if g.form == "dense" and linalg.signed_perm_columns(self.generators[idx]) is None:
                 problems.append(f"generator {idx} is not a signed permutation")
             if not_skew[idx]:
                 problems.append(f"generator {idx} is not skew-symmetric")
@@ -201,6 +184,8 @@ class MatrixRep:
         return problems
 
     def to_json(self) -> str:
+        """The repgen file; the generators are densified one at a time."""
+        g = self.stack
         return json.dumps(
             {
                 "schema": 1,
@@ -208,7 +193,7 @@ class MatrixRep:
                 "dim": self.dim,
                 "kind": self.kind,
                 "volume_split": list(self.volume_split) if self.volume_split else None,
-                "generators": [g.reshape(-1).tolist() for g in self.generators],
+                "generators": [g.matrix(t).reshape(-1).tolist() for t in range(len(g))],
             },
             indent=2,
         )
@@ -271,10 +256,9 @@ def build_clifford_rep(r: int, copies: int = 1) -> MatrixRep:
         raise ValueError("copies must be at least 1")
     _check_rank_cap(r)
     base = _base_generators(r)
-    if base[0].shape[0] != n_irr(r):
+    if base.n != n_irr(r):
         raise RepresentationError(f"rank {r}: generators have the wrong size; construction broken")
-    gens = tuple(_block_diag([g] * copies) for g in base)
-    return MatrixRep(r, n_irr(r) * copies, "full", gens)
+    return MatrixRep(r, n_irr(r) * copies, "full", stack=_eye(copies).kron(base))
 
 
 def _even_volume_factor_sign(r: int) -> int:
@@ -307,14 +291,11 @@ def build_even_rep(r: int, m_plus: int = 1, m_minus: int | None = None) -> Matri
         if m_plus < 0 or m_minus < 0 or m_plus + m_minus < 1:
             raise RepresentationError("need m_plus + m_minus >= 1")
         s = _even_volume_factor_sign(r)
-        plus_family = _generators_with_volume_sign(q, s)
-        # flipping one generator flips the volume
-        minus_family = plus_family[:-1] + [-plus_family[-1]]
-        gens = tuple(
-            _block_diag([plus_family[i]] * m_plus + [minus_family[i]] * m_minus)
-            for i in range(q)
-        )
-        return MatrixRep(r, n0(r) * (m_plus + m_minus), "even", gens, (m_plus, m_minus))
+        plus = _generators_with_volume_sign(q, s)
+        # the minus blocks flip the last generator, which flips the volume
+        signs = linalg.OperatorStack.diagonal([1] * m_plus + [-1] * m_minus)
+        gens = linalg.OperatorStack.concat([_eye(m_plus + m_minus).kron(plus[:-1]), signs.kron(plus[-1])])
+        return MatrixRep(r, n0(r) * (m_plus + m_minus), "even", volume_split=(m_plus, m_minus), stack=gens)
     if m_minus is not None and m_minus != m_plus:
         raise RepresentationError(
             "for rank not divisible by 4 there is a single irreducible class;"
@@ -323,9 +304,7 @@ def build_even_rep(r: int, m_plus: int = 1, m_minus: int | None = None) -> Matri
     copies = m_plus
     if copies < 1:
         raise RepresentationError("need at least one copy")
-    base = _base_generators(q)
-    gens = tuple(_block_diag([g] * copies) for g in base)
-    return MatrixRep(r, n0(r) * copies, "even", gens)
+    return MatrixRep(r, n0(r) * copies, "even", stack=_eye(copies).kron(_base_generators(q)))
 
 
 def irreducible_even_rep(r: int) -> MatrixRep:
@@ -462,18 +441,17 @@ class TrialityCertificate:
 
     map_num / map_den acts on coordinates of skew 8x8 matrices (see linalg)
     and is defined by sending half of each plus-block J_ij to the elementary
-    rotation with the same labels.  The certificate records that the
-    defining system has orthogonal columns and that all basis brackets are
-    preserved, and it carries the pulled-back family: the images of the
-    doubled elementary rotations, i.e. of the generators e_a . e_b of the
-    even algebra over the half-spin bundle.  That family is again a Clifford
+    rotation with the same labels.  It exists only when the defining system
+    has orthogonal columns; the certificate records whether all basis
+    brackets are preserved, and it carries the pulled-back family: the
+    images of the doubled elementary rotations, i.e. of the generators
+    e_a . e_b of the even algebra over the half-spin bundle.  That family is again a Clifford
     family, now acting on the vector representation; this is the content of
     triality and is not true for a generic linear map.
     """
 
     map_num: np.ndarray
     map_den: int
-    bijective: bool
     brackets_checked: int
     brackets_exact: bool
     spin_family: JFamily
@@ -488,8 +466,8 @@ class TrialityCertificate:
 def triality_map() -> TrialityCertificate:
     rep = build_even_rep(8, 1, 1)
     fam = j_family(rep)
-    vol = evaluate(rep, volume_element(AlgebraSignature(8)))
-    if not np.array_equal(vol, _block_diag([linalg.eye(8), -linalg.eye(8)])):
+    vol = blade_images(rep, [range(1, 9)])[0]
+    if vol.differs(linalg.OperatorStack.diagonal([1] * 8 + [-1] * 8)):
         raise RepresentationError("rank 8 volume is not diag(+I, -I); construction broken")
 
     plus = {(i, j): m[:8, :8] for (i, j), m in fam.mats.items()}
@@ -529,7 +507,6 @@ def triality_map() -> TrialityCertificate:
     return TrialityCertificate(
         map_num=map_num,
         map_den=map_den,
-        bijective=True,
         brackets_checked=len(upper[0]),
         brackets_exact=exact,
         spin_family=JFamily(8, 8, plus),

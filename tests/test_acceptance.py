@@ -152,7 +152,10 @@ def test_criterion_05_universality():
 def test_criterion_06_triality():
     t0 = time.perf_counter()
     cert = triality_map()
-    assert cert.bijective
+    # the map inverts the halves of the spin family: map (cols / 2) = I
+    fam = cert.spin_family
+    cols = np.stack([linalg.skew_to_coords(fam.mats[p]) for p in fam.pairs()], axis=1)
+    assert np.array_equal(linalg.imatmul(cert.map_num, cols), 2 * cert.map_den * linalg.eye(28))
     assert cert.brackets_checked == 378
     assert cert.brackets_exact
     pulled = EvenCliffordStructure(8, 8, cert.pulled_back)

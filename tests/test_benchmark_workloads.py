@@ -1,4 +1,4 @@
-"""One pass of the benchmark's ``commands`` and ``sweep`` workloads.
+"""One pass of the benchmark's ``commands``, ``sweep`` and ``rank_sweep`` workloads.
 
 The benchmark refuses a run whose set-up fails or whose operations give an
 answer it does not know as a defect; this runs the same operations once, in
@@ -61,4 +61,12 @@ def test_commands_pass(seed, tmp_path):
 
 def test_sweep_pass(tmp_path):
     ops = _load_workloads().build("sweep", LIB, 11, tmp_path, FIXTURES)
+    assert _unexplained_mismatches(ops) == []
+
+
+def test_rank_sweep_pass(tmp_path, monkeypatch):
+    # the workload runs above the default rank cap, as the benchmark does
+    workloads = _load_workloads()
+    monkeypatch.setenv("CLIFFLAB_MAX_RANK", workloads.RANK_SWEEP_MAX_RANK)
+    ops = workloads.build("rank_sweep", LIB, 11, tmp_path, FIXTURES)
     assert _unexplained_mismatches(ops) == []

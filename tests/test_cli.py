@@ -47,8 +47,8 @@ class TestRepgen:
         assert code == 2
 
     def test_ranks_above_the_hard_ceiling_are_refused(self, tmp_path, monkeypatch, capsys):
-        # r = 24 would hold 23 dense 4096 x 4096 generators (3.1 GB); it is
-        # refused before anything is built, whatever the cap asks
+        # r = 24 would write 23 generators of 4096^2 JSON integers each; it
+        # is refused before anything is built, whatever the cap asks
         monkeypatch.setenv("CLIFFLAB_MAX_RANK", "24")
         out = tmp_path / "x.json"
         assert run_cli("repgen", "--rank", "24", "--kind", "even", "--out", str(out)) == 2

@@ -254,12 +254,64 @@ def test_operator_stack_forms_agree_with_numpy(data):
     assert cols.word_products(words).form == "columns" and (cols @ dense).form == "dense"
 
 
+def _signed_perms(rng, k, n):
+    mats = []
+    for _ in range(k):
+        m = linalg.zeros(n)
+        m[rng.permutation(n), np.arange(n)] = rng.choice([-1, 1], n)
+        mats.append(m)
+    return mats
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_kron_agrees_with_numpy_on_both_forms(data):
+    # batch x batch, batch x single, single x batch and the outer batch, on
+    # column, dense and mixed operands, and with a general dense operand
+    n = data.draw(st.integers(1, 4), label="n")
+    m = data.draw(st.integers(1, 4), label="m")
+    k = data.draw(st.integers(1, 3), label="k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    a_mats, b_mats = _signed_perms(rng, k, n), _signed_perms(rng, k, m)
+    general = linalg.intmat(rng.integers(-5, 6, (m, m)))
+    for a in (linalg.OperatorStack.of(a_mats, n), _dense_stack(a_mats, n)):
+        for b in (linalg.OperatorStack.of(b_mats, m), _dense_stack(b_mats, m), _dense_stack([general] * k, m)):
+            b_at = [b.matrix(t) for t in range(k)]
+            pair = a.kron(b)
+            assert pair.n == n * m and pair.shape == (k,)
+            assert pair.form == ("columns" if a.form == b.form == "columns" else "dense")
+            outer = a[:, None].kron(b[None, :])
+            assert outer.shape == (k, k)
+            for t in range(k):
+                assert np.array_equal(pair.matrix(t), np.kron(a_mats[t], b_at[t]))
+                assert np.array_equal(a.kron(b[0]).matrix(t), np.kron(a_mats[t], b_at[0]))
+                assert np.array_equal(a[0].kron(b).matrix(t), np.kron(a_mats[0], b_at[t]))
+                for u in range(k):
+                    assert np.array_equal(outer.matrix((t, u)), np.kron(a_mats[t], b_at[u]))
+
+
+def test_kron_of_dense_operands_never_wraps():
+    big = linalg.OperatorStack.of([linalg.as_integer([[0, 2**40], [1, 0]])], 2)
+    assert big.form == "dense"
+    assert big[0].kron(big[0]).matrix().tolist() == np.kron(big.matrix(0).astype(object), big.matrix(0)).tolist()
+    assert big[0].kron(big[0]).matrix()[0, 3] == 2**80
+
+
+def test_diagonal():
+    d = linalg.OperatorStack.diagonal([1, -1, -1])
+    assert (d.form, d.shape, d.n) == ("columns", (), 3)
+    assert np.array_equal(d.matrix(), np.diag([1, -1, -1]))
+    eye = linalg.OperatorStack.diagonal([1] * 4)
+    assert not eye.differs(eye.identity())
+    assert not eye.identity(-1).differs(linalg.OperatorStack.diagonal([-1] * 4))
+
+
 def test_lazy_matrices_densify_on_access():
     mats = [np.array([[0, -1], [1, 0]], dtype=np.int64), linalg.eye(2)]
     seq = linalg.LazyMatrices(linalg.OperatorStack.of(mats, 2))
     assert len(seq) == 2 and seq[-1] is seq[1]
     assert [m.tolist() for m in seq] == [m.tolist() for m in mats]
-    assert [m.tolist() for m in seq[1:]] == [mats[1].tolist()]
+    assert isinstance(seq[1:], tuple) and [m.tolist() for m in seq[1:]] == [mats[1].tolist()]
     with pytest.raises(IndexError):
         seq[2]
 

@@ -1,13 +1,15 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clifflab import linalg, reps
+from clifflab import cli, linalg, reps
 from clifflab.blades import AlgebraSignature, CliffordElement, volume_element
 from clifflab.reps import (
     MatrixRep,
@@ -122,6 +124,134 @@ class TestFullRepresentations:
         assert back.volume_split == (1, 1)
         for x, y in zip(rep.generators, back.generators):
             assert np.array_equal(x, y)
+
+
+# -- the dense construction, as the generators were first built -------------
+
+_EPS = linalg.intmat([[0, -1], [1, 0]])
+_TAU = linalg.intmat([[1, 0], [0, -1]])
+_SIG = linalg.intmat([[0, 1], [1, 0]])
+_I2 = linalg.eye(2)
+
+
+def _kron(*ms):
+    return reduce(np.kron, ms)
+
+
+_QUAT_B = _kron(_EPS, _I2)
+_QUAT_C = _kron(_TAU, _EPS)
+_QUAT_D = _kron(_SIG, _EPS)
+
+
+def _base_generators(r):
+    if r <= 3:
+        gens = [_kron(_EPS, _TAU), _kron(_EPS, _SIG), _kron(_I2, _EPS)]
+        if r == 1:
+            return [_EPS.copy()]
+        return gens[:r]
+    if r <= 7:
+        a1, a2, a3 = _base_generators(3)
+        gens = [
+            _kron(a1, _TAU),
+            _kron(a2, _TAU),
+            _kron(a3, _TAU),
+            _kron(linalg.eye(4), _EPS),
+            _kron(_QUAT_B, _SIG),
+            _kron(_QUAT_C, _SIG),
+            _kron(_QUAT_D, _SIG),
+        ]
+        return gens[:r]
+    if r == 8:
+        prev = _base_generators(7)
+        return [_kron(g, _TAU) for g in prev] + [_kron(linalg.eye(8), _EPS)]
+    gamma = _base_generators(8)
+    omega = reduce(np.matmul, gamma)
+    prev = _base_generators(r - 8)
+    n_prev = prev[0].shape[0]
+    return [_kron(g, omega) for g in prev] + [_kron(linalg.eye(n_prev), g) for g in gamma]
+
+
+def _generators_with_volume_sign(r, sign):
+    gens = _base_generators(r)
+    vol = reduce(np.matmul, gens)
+    if np.array_equal(vol, sign * linalg.eye(len(vol))):
+        return gens
+    assert np.array_equal(vol, -sign * linalg.eye(len(vol)))
+    return gens[:-1] + [-gens[-1]]
+
+
+def _block_diag(mats):
+    if len(mats) == 1:
+        return mats[0]
+    n = sum(m.shape[0] for m in mats)
+    out = linalg.zeros(n)
+    at = 0
+    for m in mats:
+        k = m.shape[0]
+        out[at : at + k, at : at + k] = m
+        at += k
+    return out
+
+
+def dense_generators(kind, r, m_plus=1, m_minus=None):
+    """The generators of build_clifford_rep(r, m_plus) or of
+    build_even_rep(r, m_plus, m_minus), built densely."""
+    if kind == "full":
+        return [_block_diag([g] * m_plus) for g in _base_generators(r)]
+    q = r - 1
+    if r % 4 != 0:
+        return [_block_diag([g] * m_plus) for g in _base_generators(q)]
+    plus_family = _generators_with_volume_sign(q, reps._even_volume_factor_sign(r))
+    minus_family = plus_family[:-1] + [-plus_family[-1]]
+    return [_block_diag([plus_family[i]] * m_plus + [minus_family[i]] * m_minus) for i in range(q)]
+
+
+SPLITS = [(1, 1), (2, 0), (0, 2), (1, 2), (3, 1), (1, 0)]
+
+
+def build_cases(kind, r):
+    """(m_plus, m_minus) of every build checked against the dense construction."""
+    if kind == "even" and r % 4 == 0:
+        return SPLITS
+    return [(copies, None) for copies in (1, 2, 3)]
+
+
+def build(kind, r, m_plus, m_minus):
+    return build_clifford_rep(r, m_plus) if kind == "full" else build_even_rep(r, m_plus, m_minus)
+
+
+@pytest.mark.parametrize("kind, r", [("full", r) for r in range(1, 17)] + [("even", r) for r in range(2, 17)])
+def test_generators_equal_the_dense_construction(kind, r):
+    for m_plus, m_minus in build_cases(kind, r):
+        rep = build(kind, r, m_plus, m_minus)
+        assert rep.stack.form == "columns"
+        want = dense_generators(kind, r, m_plus, m_minus)
+        assert len(rep.generators) == len(want)
+        for t, g in enumerate(want):
+            assert np.array_equal(rep.stack.matrix(t), g), (m_plus, m_minus, t)
+
+
+@pytest.mark.parametrize("kind, r", [("full", r) for r in range(1, 11)] + [("even", r) for r in range(2, 11)])
+def test_repgen_writes_the_dense_construction(kind, r, tmp_path):
+    out = tmp_path / "rep.json"
+    for m_plus, m_minus in build_cases(kind, r):
+        argv = ["repgen", "--rank", str(r), "--kind", kind, "--out", str(out), "--m-plus", str(m_plus)]
+        if kind == "full":
+            argv[-2:] = ["--copies", str(m_plus)]
+        if m_minus is not None:
+            argv += ["--m-minus", str(m_minus)]
+        assert cli.main(argv) == 0
+        gens = dense_generators(kind, r, m_plus, m_minus)
+        split = [m_plus, m_minus] if m_minus is not None else None
+        want = {
+            "schema": 1,
+            "rank": r,
+            "dim": len(gens[0]),
+            "kind": kind,
+            "volume_split": split,
+            "generators": [g.reshape(-1).tolist() for g in gens],
+        }
+        assert out.read_text() == json.dumps(want, indent=2), (m_plus, m_minus)
 
 
 class TestEvenRepresentations:
@@ -347,7 +477,10 @@ class TestJFamily:
 class TestTriality:
     def test_certificate(self):
         cert = triality_map()
-        assert cert.bijective
+        # the map inverts the halves of the spin family: map (cols / 2) = I
+        fam = cert.spin_family
+        cols = np.stack([linalg.skew_to_coords(fam.mats[p]) for p in fam.pairs()], axis=1)
+        assert np.array_equal(linalg.imatmul(cert.map_num, cols), 2 * cert.map_den * linalg.eye(28))
         assert cert.brackets_checked == 378
         assert cert.brackets_exact
 

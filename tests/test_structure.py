@@ -546,24 +546,20 @@ def test_built_families_take_the_fast_paths(monkeypatch):
 
 @pytest.mark.parametrize("r", range(2, 13))
 def test_built_families_are_stored_and_checked_in_column_form(monkeypatch, r):
-    # from_rep certifies each generator once and never densifies a J_ij;
-    # validate, relations, orthogonality, the blade round trip and (at
-    # r = 3 mod 4) the Hodge extension read the stored column forms and
-    # densify nothing on a pass
-    rep = build_even_rep(r)
-    certify = linalg.signed_perm_columns
-
-    def generators_only(a):
-        if np.shape(a) == (rep.dim, rep.dim) and not any(a is g for g in rep.generators):
-            raise RuntimeError("a J matrix was certified")
-        return certify(a)
+    # the generators are built as column forms, so building, validate and
+    # from_rep certify nothing and never densify a matrix; relations,
+    # orthogonality, the blade round trip and (at r = 3 mod 4) the Hodge
+    # extension read the stored column forms and densify nothing on a pass
+    def refuse_certificate(*args):
+        raise RuntimeError("a matrix was certified")
 
     def refuse(*args):
         raise RuntimeError("a column form was densified")
 
-    monkeypatch.setattr(linalg, "signed_perm_columns", generators_only)
+    monkeypatch.setattr(linalg, "signed_perm_columns", refuse_certificate)
     monkeypatch.setattr(linalg, "signed_perm_matrix", refuse)
     monkeypatch.setattr(linalg, "imatmul", refuse)
+    rep = build_even_rep(r)
     assert rep.validate() == []
     s = EvenCliffordStructure.from_rep(rep)
     assert s.family.stack.form == "columns" and rep.stack.form == "columns"
@@ -592,7 +588,9 @@ def test_column_and_dense_routes_report_the_same_bytes(data):
 
     def build():
         rng = random.Random(seed)
-        rep = build_even_rep(r)
+        built = build_even_rep(r)
+        # given as matrices, so that a refused certificate keeps them dense
+        rep = MatrixRep(r, built.dim, "even", [built.stack.matrix(t) for t in range(r - 1)], built.volume_split)
         mats = dict(j_family(rep).mats)
         n, pairs = rep.dim, sorted(mats)
         key = rng.choice(pairs)
