@@ -210,7 +210,7 @@ def case1_n8(r: int) -> dict:
     if r not in _CASE1_N8:
         raise ValueError("the 8-dimensional case covers ranks 5 to 8")
     group, geometry = _CASE1_N8[r]
-    dim, _ = centralizer_dim(irreducible_even_rep(r).generators)
+    dim, _ = centralizer_dim(irreducible_even_rep(r).stack)
     return {
         "r": r,
         "structure_group": group,

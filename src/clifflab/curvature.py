@@ -379,23 +379,25 @@ def verify_cc_normalization(op: CurvatureOperator, s: EvenCliffordStructure) -> 
 # -- centralizers -----------------------------------------------------------------
 
 
-def centralizer_dim(gens: Sequence[np.ndarray]) -> tuple[int, list[np.ndarray]]:
-    """Dimension and basis of the commutant of signed permutations in so(n).
+def centralizer_dim(gens: linalg.OperatorStack) -> tuple[int, list[np.ndarray]]:
+    """Dimension and basis of the commutant in so(n) of the signed
+    permutations of a column-form stack (a built rep's ``stack``).
 
     For G e_c = s_c e_{p(c)}, X G = G X reads X[p a, p b] = s_a s_b X[a, b]
     and skewness reads X[b, a] = -X[a, b]: every rule ties one entry of X
     to another up to sign, so the entries fall into classes of tied
     entries.  A class that ties an entry to its own negative is zero; every
     other class gives one basis matrix, +-1 on the class and 0 elsewhere.
-    Input that is not signed permutations of one size raises CurvatureError.
+    A dense or empty stack raises CurvatureError.
     """
-    cols = [linalg.signed_perm_columns(np.asarray(g)) for g in gens]
-    if not cols or any(c is None for c in cols) or len({len(c[0]) for c in cols}) != 1:
-        raise CurvatureError("centralizer_dim takes signed permutations of one size only")
-    n = len(cols[0][0])
+    cols = gens.columns
+    if cols is None or cols[0].size == 0:
+        raise CurvatureError("centralizer_dim takes a nonempty stack of signed permutations in column form")
+    n = gens.n
+    perm, sign = (c.reshape(-1, n) for c in cols)
     a, b = np.divmod(np.arange(n * n), n)
     # a rule (to, by) says: entry to[x] is by[x] times entry x = a n + b
-    rules = [(b * n + a, np.full(n * n, -1))] + [(p[a] * n + p[b], s[a] * s[b]) for p, s in cols]
+    rules = [(b * n + a, np.full(n * n, -1))] + [(p[a] * n + p[b], s[a] * s[b]) for p, s in zip(perm, sign)]
     # each entry takes the least entry of its class as label and its value
     # relative to that entry; the rules are bijections of a finite set, so
     # pushing labels forward along them reaches the whole class
@@ -467,7 +469,7 @@ def build_model(name: str) -> ModelSpace:
     s = EvenCliffordStructure.from_rep(rep)
     n = s.n
     family = [s.family.mats[p] for p in s.pairs()]
-    _, commutant = centralizer_dim(rep.generators)
+    _, commutant = centralizer_dim(rep.stack)
     c_j = Fraction(n, 2)
     ideals, scales = [family], [c_j]
     if commutant:

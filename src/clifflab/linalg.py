@@ -215,6 +215,12 @@ class OperatorStack:
         return "columns" if self._dense is None else "dense"
 
     @property
+    def columns(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The column forms (perm, sign), each of shape batch + (n,); None
+        for a dense stack."""
+        return None if self._dense is not None else (self._perm, self._sign)
+
+    @property
     def shape(self) -> tuple[int, ...]:
         """The batch shape."""
         return self._sign.shape[:-1] if self._dense is None else self._dense.shape[:-2]

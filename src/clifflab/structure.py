@@ -87,6 +87,12 @@ class EvenCliffordStructure:
     content: skewness, unit squares, shared-index composition, disjoint
     commutation, and trace orthogonality.  Each J_ij with unit square has
     trace pairing <J_ij, J_ij> = -n automatically.
+
+    The generator certificate (``_generators_certified``) checks only the
+    first row J_12 ... J_1r, and when it holds it decides the relations, the
+    orthogonality suite for r != 4 and the extension criterion; the direct
+    scans of every identity run only when it fails, to name the witnesses.
+    The rank-4 disjoint pairings are data, so they are always computed.
     """
 
     def __init__(self, n: int, r: int, family: JFamily, rep: MatrixRep | None = None):
@@ -186,9 +192,16 @@ def _field(obj: dict, key: str, where: str):
 
 
 def verify_relations(s: EvenCliffordStructure) -> VerificationReport:
-    """Exact check of the Clifford relations of the family: each identity
-    is one batch of products on the family's stack, and only a failing
-    identity is densified, for its residual."""
+    """Exact check of the Clifford relations of the family.
+
+    The generator certificate decides every relation: when it holds they
+    all hold and nothing else is multiplied.  When it fails, each identity
+    (skewness, unit squares, shared-index composition, disjoint commutation)
+    is checked directly, one batch of products on the family's stack, and
+    only a failing identity is densified, for its residual.
+    """
+    if _generators_certified(s.family):
+        return VerificationReport("relations")
     failures = _square_failures(s.family)
     if s.r >= 3:
         failures += [
@@ -217,17 +230,51 @@ def _square_failures(fam: JFamily) -> list[Failure]:
     return failures
 
 
-def _frame_triples(fam: JFamily, diagonal: bool):
+def _generators_certified(fam: JFamily) -> bool:
+    """The generator certificate: g_j = J_1j (j = 2..r) are skew, and
+    J_1j J_1l = J_jl for all j, l >= 2, with J_jj = -1 on the diagonal.
+
+    It proves every identity the suites check.  Since J_lj = -J_jl, the
+    certificate says that the g_j anticommute, square to -1 and are skew,
+    and that J_jl = g_j g_l (j != l).  So the J_ij are the images of the
+    blades e_i e_j = (e_1 e_i)(e_1 e_j) under Cl0_r = Cl_{r-1}, e_1 e_j ->
+    g_j (Lawson-Michelsohn, Spin Geometry, I.3), an algebra morphism, and
+    every relation of the blades holds for them:
+
+    - every J_jl = g_j g_l is skew ((g_j g_l)^T = g_l g_j = -g_j g_l) with
+      J_jl^2 = -g_j^2 g_l^2 = -1;
+    - every frame triple J_ij J_il = J_jl holds, as e_i e_j e_i e_l =
+      e_j e_l;
+    - disjoint pairs commute: moving e_k e_l past e_i e_j takes four
+      anticommutations;
+    - two J sharing exactly one index multiply to +-J_ab for the other
+      indices a != b, a skew matrix, so their pairing is 0;
+    - for r >= 5 a disjoint pairing tr(J_ij J_kl) is 0: with m outside
+      {i, j, k, l}, J_im anticommutes with J_ij and commutes with J_kl, so
+      conjugating by J_im (J_im^-1 = -J_im) negates the product, and
+      tr = -tr over the integers.
+
+    One batch of (r-1)^2 products and r-1 transposes.  False for r < 2,
+    where the direct scans have nothing to multiply.
+    """
+    if fam.r < 2:
+        return False
+    ordered, row = fam.ordered
+    gens = ordered[[row[(1, j)] for j in range(2, fam.r + 1)]]
+    return not gens.differs(-gens.T).any() and next(_frame_triples(fam, True, rows=[1]), None) is None
+
+
+def _frame_triples(fam: JFamily, diagonal: bool, rows: Sequence[int] | None = None):
     """The violations of J_ij J_il = J_jl (i, j, l distinct), with the unit
     squares J_ij J_ij = -1 (j = l) too when ``diagonal``: one batch of
-    products per i over all (j, l).
+    products per i in ``rows`` (default: every i) over all (j, l).
 
     Yields (i, j, l) and both sides, in that order.
     """
     ordered, row = fam.ordered
     r = fam.r
     off_diagonal = ~np.eye(r - 1, dtype=bool)
-    for i in range(1, r + 1):
+    for i in range(1, r + 1) if rows is None else rows:
         js = [j for j in range(1, r + 1) if j != i]
         f = ordered[[row[(i, j)] for j in js]]
         got, want = f[:, None] @ f[None, :], ordered[np.array([[row[(j, l)] for l in js] for j in js])]
@@ -262,7 +309,13 @@ def verify_orthogonality(s: EvenCliffordStructure) -> VerificationReport:
     Pairs sharing exactly one index anticommute, so their pairing vanishes
     for every rank.  Pairings of disjoint index pairs vanish for r != 4; for
     r = 4 they are reported as data without being asserted.
+
+    For r != 4 the generator certificate decides every pairing; the traces
+    are computed only when it fails, to name the pairs.  At r = 4 the
+    traces are always computed, for the data.
     """
+    if s.r != 4 and _generators_certified(s.family):
+        return VerificationReport("orthogonality")
     pairs = s.pairs()
     checked = [(x, y) for x in range(len(pairs)) for y in range(x + 1, len(pairs))]
     failures = []
@@ -540,9 +593,13 @@ def universal_extension(
     sigma(u,v) + sigma(v,u) = -2<u,v> id holds because phi is skew, and
     sigma(v,u) sigma(u,w) = -<u,u> sigma(v,w) expands in u into frame cases
     plus cross terms u_a u_b that cancel by the frame identity at i = a.
-    They are checked as in the relation suite, one batch of products per i.
-    Rejection carries the first witnessing triple in (i, j, l) order; after
-    acceptance the morphism is returned.
+    The generator certificate decides them: its first row is the frame
+    identity at i = 1, and it proves every other triple.  Only when it fails
+    (a family that is not skew fails it too, while the criterion does not
+    ask for skewness) are the triples checked directly, as in the relation
+    suite, one batch of products per i.  Rejection carries the first
+    witnessing triple in (i, j, l) order; after acceptance the morphism is
+    returned.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -553,10 +610,11 @@ def universal_extension(
     fam = phi if isinstance(phi, JFamily) else _map_family(phi, k, n)
     if fam.r != k:
         raise StructureError(f"a rank-{fam.r} family is no map on the 2-forms of rank {k}")
-    witness = next((triple for triple, _, _ in _frame_triples(fam, diagonal=True)), None)
-    if witness is not None:
-        i, j, l = witness
-        raise ExtensionRejected(witness, f"extension criterion fails at u=e_{i}, v=e_{j}, w=e_{l}")
+    if not _generators_certified(fam):
+        witness = next((triple for triple, _, _ in _frame_triples(fam, diagonal=True)), None)
+        if witness is not None:
+            i, j, l = witness
+            raise ExtensionRejected(witness, f"extension criterion fails at u=e_{i}, v=e_{j}, w=e_{l}")
     return EvenAlgebraMorphism(k, fam.n, fam)
 
 

@@ -233,7 +233,7 @@ def test_criterion_10_centralizers():
     for r, expected in ((5, 3), (6, 1), (7, 0)):
         fam = j_family(build_even_rep(r))
         gens = [fam.j(1, j) for j in range(2, r + 1)]
-        dim, _ = centralizer_dim(gens)
+        dim, _ = centralizer_dim(linalg.OperatorStack.of(gens, fam.n))
         dims[r] = dim
         assert dim == expected
     elapsed = time.perf_counter() - t0

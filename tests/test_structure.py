@@ -544,6 +544,112 @@ def test_built_families_take_the_fast_paths(monkeypatch):
         assert verify_relations(s).passed and verify_orthogonality(s).passed, (s.n, s.r)
 
 
+_CERTIFICATE_VARIANTS = {
+    2: ["valid", "generator signs", "one entry changed", "one matrix doubled", "unipotent conjugate"],
+    3: ["valid", "generator signs", "J_ab negated", "two swapped", "one entry changed", "one matrix doubled",
+        "unipotent conjugate", "index doubled"],
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_generator_certificate_agrees_with_the_direct_scans(data):
+    # with the certificate refused every identity is checked directly; the
+    # reports must not change, byte for byte, on either stack form
+    r = data.draw(st.integers(2, 10), label="r")
+    form = data.draw(st.sampled_from(["columns", "dense"]), label="form")
+    variant = data.draw(st.sampled_from(_CERTIFICATE_VARIANTS[min(r, 3)]), label="variant")
+    n, mats = _conjugated_family(data, r)
+    key = data.draw(st.sampled_from(sorted(mats)), label="pair")
+    if variant == "generator signs":
+        signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=r, max_size=r), label="signs")
+        mats = {(i, j): signs[i - 1] * signs[j - 1] * m for (i, j), m in mats.items()}
+    elif variant == "J_ab negated":
+        # still skew with square -1: of the certificate, only J_1a J_1b = J_ab fails
+        key = data.draw(st.sampled_from([p for p in sorted(mats) if p[0] >= 2]), label="pair a, b >= 2")
+        mats[key] = -mats[key]
+    elif variant == "two swapped":
+        other = data.draw(st.sampled_from([p for p in sorted(mats) if p != key]), label="other pair")
+        mats[key], mats[other] = mats[other], mats[key]
+    elif variant == "one entry changed":
+        a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        mats[key] = mats[key].copy()
+        mats[key][a, b] += data.draw(st.integers(-3, 3).filter(bool), label="delta")
+    elif variant == "one matrix doubled":
+        mats[key] = 2 * mats[key]
+    elif variant == "index doubled":
+        # every J with the index j >= 2 doubled: the products J_1j J_1l = J_jl
+        # still hold, and of the certificate only J_1j^2 = -1 fails
+        j = data.draw(st.integers(2, r), label="j")
+        mats = {k: 2 * m if j in k else m for k, m in mats.items()}
+    elif variant == "unipotent conjugate":
+        # P J P^-1 with P = I + c E_ab keeps every product and loses skewness
+        a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True), label="a, b")
+        c = data.draw(st.integers(-3, 3).filter(bool), label="c")
+        p, p_inv = linalg.eye(n), linalg.eye(n)
+        p[a, b], p_inv[a, b] = c, -c
+        mats = {k: p @ m @ p_inv for k, m in mats.items()}
+    with pytest.MonkeyPatch.context() as mp:
+        if form == "dense":
+            mp.setattr(linalg, "signed_perm_columns", lambda a: None)
+        s = EvenCliffordStructure.from_matrices(n, r, mats)
+    if form == "dense" or variant in ("one matrix doubled", "unipotent conjugate", "index doubled"):
+        assert s.family.stack.form == "dense"
+    elif variant != "one entry changed":
+        assert s.family.stack.form == "columns"
+
+    got = _reports(s, ())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "_generators_certified", lambda fam: False)
+        assert _reports(s, ()) == got
+    failures = verify_relations(s).failures
+    assert [f.to_dict() for f in failures] == [f.to_dict() for f in _verify_relations_dense(s)]
+    if n <= 8:
+        assert {(f.identity, f.indices) for f in failures} == _relation_oracle(n, r, mats)
+    assert structure._generators_certified(s.family) == (failures == [])
+    if variant in ("valid", "generator signs"):
+        assert all(report["passed"] for report in json.loads(got))
+    if variant == "unipotent conjugate":
+        # the extension criterion does not ask for skewness
+        assert {f.identity for f in failures} == {"skew_symmetry"}
+        assert json.loads(got)[2]["passed"]
+    if variant == "J_ab negated":
+        assert {f.identity for f in failures} >= {"shared_index_composition"}
+        assert not {f.identity for f in failures} & {"skew_symmetry", "unit_square"}
+
+
+def test_passing_families_are_decided_by_the_generator_certificate(monkeypatch):
+    # on a pass no direct scan runs: neither the squares, the all-i frame
+    # scan, the disjoint commutations nor the trace pairings
+    spin = triality_map()
+    families = [EvenCliffordStructure.from_rep(build_even_rep(r)) for r in range(5, 17)]
+    families += [EvenCliffordStructure(8, 8, fam) for fam in (spin.spin_family, spin.pulled_back)]
+    rank4 = EvenCliffordStructure.from_rep(build_even_rep(4, 1, 0))
+    frame_triples, pair_traces = structure._frame_triples, linalg.OperatorStack.pair_traces
+
+    def refuse(*args):
+        raise RuntimeError("a direct scan was taken")
+
+    def first_row_only(fam, diagonal, rows=None):
+        if rows is None:
+            raise RuntimeError("the all-i frame scan was taken")
+        return frame_triples(fam, diagonal, rows)
+
+    monkeypatch.setattr(structure, "_frame_triples", first_row_only)
+    monkeypatch.setattr(structure, "_square_failures", refuse)
+    monkeypatch.setattr(structure, "_disjoint_failures", refuse)
+    monkeypatch.setattr(linalg.OperatorStack, "pair_traces", refuse)
+    for s in families:
+        assert verify_relations(s).passed and verify_orthogonality(s).passed, (s.n, s.r)
+        assert universal_extension(s.family, s.r).k == s.r
+    # at r = 4 the disjoint pairings are data, read from the traces
+    traced = []
+    monkeypatch.setattr(linalg.OperatorStack, "pair_traces", lambda stack: traced.append(stack) or pair_traces(stack))
+    report = verify_orthogonality(rank4)
+    assert report.passed and len(traced) == 1
+    assert report.data["pairings"] == {"(1,2),(3,4)": "4", "(1,3),(2,4)": "-4", "(1,4),(2,3)": "4"}
+
+
 @pytest.mark.parametrize("r", range(2, 13))
 def test_built_families_are_stored_and_checked_in_column_form(monkeypatch, r):
     # the generators are built as column forms, so building, validate and
