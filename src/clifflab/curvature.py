@@ -13,8 +13,9 @@ Conventions, fixed once:
   family satisfies R^(J_ik) = (n kappa / 4) J_ik.
 * Ric(X,Y) = sum_a g(R_{X, X_a} X_a, Y).
 
-Tensors are stored as integer numerator arrays over a single positive
-denominator; every check is exact.
+R^ is stored as its integer pair-basis matrix over one positive denominator;
+the (4,0) tensor, Ricci and the matrices R_{X_a, X_b} are gathers from it.
+Every check is exact.
 """
 
 from __future__ import annotations
@@ -47,17 +48,24 @@ class CalibrationError(ValueError):
 
 
 class CurvatureOperator:
-    """The (4,0) tensor of an algebraic curvature operator on R^n.
+    """An algebraic curvature operator on R^n, stored as the integer (m, m)
+    matrix ``num`` of R^ in the pair basis (m = n(n-1)/2) over one positive
+    ``den``, and nothing else.  With idx[a,b] the row of the pair {a, b} and
+    sgn[a,b] = +1 for a < b, -1 for a > b, 0 for a = b (``_pair_index``),
 
-    Stored as an integer tensor R4[a,b,c,d] over a common denominator, with
-    R4 exact equal to den * R(X_a, X_b, X_c, X_d).
+        den * R(X_a, X_b, X_c, X_d) = -sgn[a,b] sgn[c,d] num[idx[a,b], idx[c,d]],
+
+    so both antisymmetries of R hold by the format; pair symmetry and the
+    first Bianchi identity are checked (``symmetry_violations``).
     """
 
-    def __init__(self, n: int, num: np.ndarray, den: int = 1, check: bool = True):
-        if num.shape != (n, n, n, n):
-            raise CurvatureError(f"tensor shape {num.shape} does not match n={n}")
+    def __init__(self, n: int, num, den: int = 1, check: bool = True):
+        num = np.asarray(num)
+        m = n * (n - 1) // 2
+        if num.shape != (m, m):
+            raise CurvatureError(f"pair matrix shape {num.shape} does not match n={n}, m={m}")
         self.n = n
-        self.num, self.den = linalg.normalize(num.astype(np.int64), den)
+        self.num, self.den = linalg.normalize(num, den)
         if check:
             problems = self.symmetry_violations()
             if problems:
@@ -66,43 +74,53 @@ class CurvatureOperator:
     # -- structure -------------------------------------------------------------
 
     def symmetry_violations(self) -> list[str]:
-        r = self.num
-        out = []
-        if (r + r.transpose(1, 0, 2, 3)).any():
-            out.append("not antisymmetric in the first two slots")
-        if (r + r.transpose(0, 1, 3, 2)).any():
-            out.append("not antisymmetric in the last two slots")
-        if (r - r.transpose(2, 3, 0, 1)).any():
-            out.append("pair symmetry fails")
-        bianchi = r + r.transpose(1, 2, 0, 3) + r.transpose(2, 0, 1, 3)
+        """Pair symmetry of R^, then the first Bianchi identity.
+
+        A matrix that is not symmetric is no element of S^2(Lambda^2), and
+        the Bianchi sum is then no 4-form, so nothing else is decided.  For
+        R in S^2(Lambda^2) the sum b(X,Y,Z,W) = R(X,Y,Z,W) + R(Y,Z,X,W) +
+        R(Z,X,Y,W) is totally antisymmetric (Besse, Einstein Manifolds, 1.G):
+        it vanishes on repeated indices and changes at most its sign under a
+        permutation, so it vanishes, and attains its largest absolute value,
+        on the quadruples a < b < c < d.  There it reads
+        -(num[ab,cd] - num[ac,bd] + num[ad,bc]) / den, one gather.
+        """
+        if (self.num != self.num.T).any():
+            return ["pair symmetry fails"]
+        r = linalg.exact(self.num, 3 * linalg.max_abs(self.num))
+        idx, _ = _pair_index(self.n)
+        a, b = np.triu_indices(self.n, 1)
+        # the pairs p = (a, b) and q = (c, d) with b < c
+        p, q = np.nonzero(b[:, None] < a[None, :])
+        a, b, c, d = a[p], b[p], a[q], b[q]
+        bianchi = r[p, q] - r[idx[a, c], idx[b, d]] + r[idx[a, d], idx[b, c]]
         if bianchi.any():
-            out.append(
-                "first Bianchi identity fails, max residual "
-                f"{Fraction(int(np.abs(bianchi).max()), self.den)}"
-            )
-        return out
+            return [f"first Bianchi identity fails, max residual {Fraction(int(np.abs(bianchi).max()), self.den)}"]
+        return []
 
     def entry(self, a: int, b: int, c: int, d: int) -> Fraction:
-        return Fraction(int(self.num[a, b, c, d]), self.den)
+        idx, sgn = _pair_index(self.n)
+        return Fraction(-int(sgn[a, b] * sgn[c, d]) * int(self.num[idx[a, b], idx[c, d]]), self.den)
 
     def curvature_matrix(self, a: int, b: int) -> np.ndarray:
         """Numerator of the skew matrix R_{X_a, X_b}; divide by den."""
-        return self.num[a, b].T.copy()
+        idx, sgn = _pair_index(self.n)
+        return linalg.coords_to_skew(-sgn[a, b] * self.num[idx[a, b]], self.n)
 
     def rhat_matrix(self) -> tuple[np.ndarray, int]:
-        """Numerator and denominator of the pair-basis matrix of R^: one
-        gather, the inverse of the scatter in ``isotropy_projection_op``."""
-        a, b = np.triu_indices(self.n, 1)
-        return -self.num[a[:, None], b[:, None], a[None, :], b[None, :]], self.den
+        """Numerator and denominator of the pair-basis matrix of R^."""
+        return self.num, self.den
 
     def rhat_apply(self, skew: np.ndarray) -> tuple[np.ndarray, int]:
         """R^ applied to a skew integer matrix; returns (numerator, den)."""
         coords = linalg.skew_to_coords(skew)
-        rhat, den = self.rhat_matrix()
-        return linalg.coords_to_skew(linalg.imatmul(rhat, coords[:, None])[:, 0], self.n), den
+        return linalg.coords_to_skew(linalg.imatmul(self.num, coords[:, None])[:, 0], self.n), self.den
 
     def ricci_num(self) -> np.ndarray:
-        return np.einsum("xaay->xy", self.num)
+        """den * Ric: the sum over a of den * R(X_x, X_a, X_a, X_y), one gather."""
+        idx, sgn = _pair_index(self.n)
+        num = linalg.exact(self.num, self.n * linalg.max_abs(self.num))
+        return -(sgn[:, :, None] * sgn[None, :, :] * num[idx[:, :, None], idx[None, :, :]]).sum(axis=1)
 
     def ricci(self) -> np.ndarray:
         """Ricci tensor as a Fraction-valued symmetric matrix."""
@@ -112,8 +130,16 @@ class CurvatureOperator:
         return Fraction(int(np.trace(self.ricci_num())), self.den)
 
     def rhat_trace(self) -> Fraction:
-        rhat, den = self.rhat_matrix()
-        return Fraction(int(np.trace(rhat)), den)
+        return Fraction(int(np.trace(self.num)), self.den)
+
+
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """idx[a,b], the row of the pair {a, b} in the pair basis (0 on the
+    diagonal), and sgn[a,b]: +1 for a < b, -1 for a > b, 0 for a = b."""
+    a, b = np.triu_indices(n, 1)
+    idx = np.zeros((n, n), dtype=np.intp)
+    idx[a, b] = idx[b, a] = np.arange(len(a))
+    return idx, -np.sign(np.subtract.outer(np.arange(n), np.arange(n)))
 
 
 # -- model constructors --------------------------------------------------------
@@ -143,8 +169,8 @@ def isotropy_projection_op(
     matrices (CurvatureError otherwise; the norms may differ); P projects
     the space of 2-forms orthogonally (trace pairing) onto its span.  Bracket
     closure of each ideal and vanishing of cross brackets are checked, then
-    the induced (4,0) tensor is built and the first Bianchi identity is
-    checked rather than assumed: scales violating it raise CalibrationError.
+    the first Bianchi identity of the resulting R^ is checked rather than
+    assumed: scales violating it raise CalibrationError.
     """
     if len(ideals) != len(scales):
         raise CurvatureError("one scale per ideal")
@@ -176,16 +202,8 @@ def isotropy_projection_op(
     rhat_num, den = linalg.rational_combination(
         ((Fraction(scale) / p_den, p_num) for (p_num, p_den), scale in zip(projections, scales)), m
     )
-
-    num = np.zeros((n, n, n, n), dtype=np.int64)
-    a, b = np.triu_indices(n, 1)
-    ap, bp, aq, bq = a[:, None], b[:, None], a[None, :], b[None, :]
-    num[ap, bp, aq, bq] = -rhat_num
-    num[bp, ap, aq, bq] = rhat_num
-    num[ap, bp, bq, aq] = rhat_num
-    num[bp, ap, bq, aq] = -rhat_num
     try:
-        return CurvatureOperator(n, num, den)
+        return CurvatureOperator(n, rhat_num, den)
     except CurvatureError as err:
         raise CalibrationError(
             f"the given scales do not define a curvature tensor: {err}"
@@ -240,15 +258,6 @@ def verify_spectrum(op: CurvatureOperator, candidates: Sequence[Fraction | int])
 # -- identity suites -------------------------------------------------------------
 
 
-def _family_stacks(s: EvenCliffordStructure):
-    mats = {}
-    for i in range(1, s.r + 1):
-        for j in range(1, s.r + 1):
-            if i != j:
-                mats[(i, j)] = s.j(i, j)
-    return mats
-
-
 def verify_parallel_identities(
     op: CurvatureOperator, s: EvenCliffordStructure, kappa: Fraction | int
 ) -> VerificationReport:
@@ -286,17 +295,16 @@ def verify_parallel_identities(
                 )
             )
 
-    mats = _family_stacks(s)
     pairs0 = linalg.pair_basis(n)
-    curv = np.stack([op.curvature_matrix(a, b) for (a, b) in pairs0])
-    minus_one = -linalg.eye(n)
+    # R_{X_a, X_b} for every pair a < b: the rows of R^, negated
+    curv = linalg.coords_to_skew(-rhat_num, n)
     for (i, j) in s.pairs():
-        jmat = mats[(i, j)]
+        jmat = s.j(i, j)
         lhs = linalg.imatmul(curv, jmat) - linalg.imatmul(jmat[None, :, :], curv)
         # the sum over s as one product: the coordinates of J_si and J_sj
-        # against the matrices J_sj and J_is they multiply
-        terms = [(mats[(x, i)], mats[(x, j)] if x != j else minus_one) for x in range(1, r + 1) if x != i]
-        terms += [(mats[(x, j)], mats[(i, x)] if x != i else minus_one) for x in range(1, r + 1) if x != j]
+        # against the matrices J_sj and J_is they multiply (J_jj = -1)
+        terms = [(s.j(x, i), s.j(x, j)) for x in range(1, r + 1) if x != i]
+        terms += [(s.j(x, j), s.j(i, x)) for x in range(1, r + 1) if x != j]
         coeffs = linalg.skew_to_coords(np.stack([c for c, _ in terms]))
         targets = np.stack([t for _, t in terms]).reshape(len(terms), -1)
         rhs = linalg.imatmul(coeffs.T, targets).reshape(lhs.shape)
@@ -324,7 +332,7 @@ def verify_parallel_identities(
 
     # Ricci system: 0 = Ric + (n/4 - 2) J_ij w_ij + sum_s [J_si w_si + J_sj w_sj]
     # with J_sx^2 = J_xs^2, each square formed once
-    squares = {p: linalg.imatmul(mats[p], mats[p]) for p in s.pairs()}
+    squares = {p: linalg.imatmul(s.j(*p), s.j(*p)) for p in s.pairs()}
 
     def square(x: int, y: int) -> np.ndarray:
         return squares[(min(x, y), max(x, y))]
@@ -349,16 +357,22 @@ def verify_parallel_identities(
     return VerificationReport("parallel_identities", failures)
 
 
-def verify_cc_normalization(op: CurvatureOperator, s: EvenCliffordStructure) -> VerificationReport:
+def verify_cc_normalization(
+    op: CurvatureOperator, s: EvenCliffordStructure, identities: VerificationReport | None = None
+) -> VerificationReport:
     """Curvature constancy normalisation: forms equal twice the family.
 
     Runs the parallel identity suite at kappa = 2, the scalar curvature
     value scal = 2n(n/4 + 2r - 4), and, for r != 4, the trace orthogonality
     of the curvature forms 2 J_ij: each failure of the family's
-    orthogonality suite is reported with its residual doubled.
+    orthogonality suite is reported with its residual doubled.  A caller
+    that already holds the kappa = 2 report of ``verify_parallel_identities``
+    on the same op and s passes it as ``identities``, and the suite is not
+    run again.
     """
-    base = verify_parallel_identities(op, s, 2)
-    failures = list(base.failures)
+    if identities is None:
+        identities = verify_parallel_identities(op, s, 2)
+    failures = list(identities.failures)
     n, r = s.n, s.r
     data = {}
     expected = cc_scal(n, r)

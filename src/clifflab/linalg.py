@@ -477,11 +477,12 @@ def skew_to_coords(m: np.ndarray) -> np.ndarray:
 
 
 def coords_to_skew(v, n: int) -> np.ndarray:
+    """The skew matrix with pair coordinates v, or one for each row of a stack."""
     v = np.asarray(v)
     a, b = np.triu_indices(n, 1)
-    out = np.zeros((n, n), dtype=v.dtype)
-    out[b, a] = v
-    out[a, b] = -v
+    out = np.zeros(v.shape[:-1] + (n, n), dtype=v.dtype)
+    out[..., b, a] = v
+    out[..., a, b] = -v
     return out
 
 

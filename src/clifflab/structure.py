@@ -623,16 +623,13 @@ def universal_extension(
 _BLADE_BATCH = 64
 
 
-def verify_universality(
-    s: EvenCliffordStructure, products: Sequence[tuple[CliffordElement, CliffordElement]] = ()
-) -> VerificationReport:
+def verify_universality(s: EvenCliffordStructure) -> VerificationReport:
     """The extension criterion as a check on the family's 2-form map.
 
     A structure backed by a representation must also agree with the
-    extension on every even blade, and every given pair (a, b) of even
-    elements with integer coefficients must multiply: ext(a b) = ext(a) ext(b).
-    The blades are compared in batches of stacks and densified only for a
-    residual.
+    extension on every even blade, which pins the extension on all of the
+    even algebra.  The blades are compared in batches of stacks and
+    densified only for a residual.
     """
     try:
         ext = universal_extension(s.family, s.r, s.n)
@@ -647,8 +644,4 @@ def verify_universality(
             got, want = ext.blades(batch), blade_images(s.rep, batch)
             for t in np.flatnonzero(got.differs(want)):
                 failures.append(Failure("blade_round_trip", batch[t], _residual(got[t], want[t])))
-    for t, (a, b) in enumerate(products):
-        got, want = ext(a * b), linalg.imatmul(ext(a), ext(b))
-        if not np.array_equal(got, want):
-            failures.append(Failure("multiplicativity", (t,), format_residual(got - want)))
     return VerificationReport("universality", failures, {"accepted": True})

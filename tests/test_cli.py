@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from clifflab import cli, structure
+from clifflab import cli, curvature, structure
 from clifflab.cli import main
 from clifflab.reps import MatrixRep, build_even_rep, j_family
 from clifflab.structure import StructureError, extend_hodge
@@ -207,6 +207,16 @@ class TestCurvature:
         assert data["passed"]
         assert data["config"]["expected_scal"] == "224"
 
+    def test_all_runs_the_identity_suite_once(self, tmp_path, monkeypatch):
+        # cc takes the identities report instead of running the suite again
+        calls = []
+        suite = curvature.verify_parallel_identities
+        monkeypatch.setattr(curvature, "verify_parallel_identities", lambda *args: calls.append(args) or suite(*args))
+        out = tmp_path / "op2.json"
+        assert run_cli("curvature", "--model", "op2", "--check", "all", "--out", str(out)) == 0
+        assert len(calls) == 1
+        assert out.read_bytes() == (FIXTURES / "curvature_op2.json").read_bytes()
+
     @pytest.mark.parametrize("model", ["s8", "cp4", "hp2", "op2"])
     def test_report_bytes_match_fixture(self, tmp_path, model):
         out = tmp_path / f"{model}.json"
@@ -309,6 +319,16 @@ class TestVerifyAll:
         ]
         models = next(s for s in report["suites"] if s["suite"] == "curvature_models")["data"]
         assert models["op2"]["spectrum"] == {"0": 84, "8": 36}
+
+    def test_each_model_is_scanned_once(self, monkeypatch, tmp_path):
+        # build_model certifies the symmetries; curvature_models does not
+        # scan the built operator again
+        calls = []
+        scan = curvature.CurvatureOperator.symmetry_violations
+        monkeypatch.setattr(curvature.CurvatureOperator, "symmetry_violations", lambda op: calls.append(op.n) or scan(op))
+        monkeypatch.setattr(cli, "VERIFY_ALL_SUITES", {"curvature_models": cli.VERIFY_ALL_SUITES["curvature_models"]})
+        assert run_cli("verify-all", "--out", str(tmp_path / "report.json")) == 0
+        assert calls == [8, 8, 8, 16]
 
     def test_failing_sub_check_is_reported_with_its_context(self, monkeypatch, tmp_path):
         def broken(s):

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +24,42 @@ from clifflab.curvature import (
 )
 from clifflab.reps import build_even_rep, j_family, quaternion_units
 from clifflab.structure import EvenCliffordStructure, Failure, verify_orthogonality, volume_endomorphism
+
+
+def scatter(rhat, n):
+    """Oracle: the (4,0) tensor of a pair matrix, R(a,b,c,d) = -R^[ab,cd]
+    for a < b, c < d, extended by both antisymmetries (the scatter the
+    library used when it stored the tensor)."""
+    num = np.zeros((n, n, n, n), dtype=rhat.dtype)
+    a, b = np.triu_indices(n, 1)
+    ap, bp, aq, bq = a[:, None], b[:, None], a[None, :], b[None, :]
+    num[ap, bp, aq, bq] = -rhat
+    num[bp, ap, aq, bq] = rhat
+    num[ap, bp, bq, aq] = rhat
+    num[bp, ap, bq, aq] = -rhat
+    return num
+
+
+def gather(t):
+    """Oracle: the pair matrix -t[a,b,c,d], a < b, c < d, of a tensor."""
+    a, b = np.triu_indices(t.shape[0], 1)
+    return -t[a[:, None], b[:, None], a[None, :], b[None, :]]
+
+
+def tensor_violations(r, den):
+    """Oracle: the four dense symmetry scans of a (4,0) tensor, as the
+    library ran them when it stored the tensor."""
+    out = []
+    if (r + r.transpose(1, 0, 2, 3)).any():
+        out.append("not antisymmetric in the first two slots")
+    if (r + r.transpose(0, 1, 3, 2)).any():
+        out.append("not antisymmetric in the last two slots")
+    if (r - r.transpose(2, 3, 0, 1)).any():
+        out.append("pair symmetry fails")
+    bianchi = r + r.transpose(1, 2, 0, 3) + r.transpose(2, 0, 1, 3)
+    if bianchi.any():
+        out.append(f"first Bianchi identity fails, max residual {Fraction(int(np.abs(bianchi).max()), den)}")
+    return out
 
 
 def independent_ricci(op):
@@ -51,8 +89,9 @@ def textbook_op(n, c, structures=()):
             - np.einsum("ca,db->abcd", j, j)
             - 2 * np.einsum("ba,dc->abcd", j, j)
         )
+    assert tensor_violations(t, 1) == []
     c = Fraction(c)
-    return CurvatureOperator(n, c.numerator * t, c.denominator)
+    return CurvatureOperator(n, c.numerator * gather(t), c.denominator)
 
 
 EPS = linalg.intmat([[0, -1], [1, 0]])
@@ -304,11 +343,10 @@ class TestSpectrum:
     def test_jordan_block_is_refused(self, candidates):
         # R^ sends the (0, 2) pair to the (0, 1) pair and is nilpotent: its
         # only eigenvalue 0 is a candidate, but R^ is not diagonalisable
-        num = np.zeros((3, 3, 3, 3), dtype=np.int64)
-        num[0, 1, 0, 2] = -1
+        num = [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+        with pytest.raises(CurvatureError, match="^pair symmetry fails$"):
+            CurvatureOperator(3, num)
         op = CurvatureOperator(3, num, check=False)
-        rhat, _ = op.rhat_matrix()
-        assert np.array_equal(rhat, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
         with pytest.raises(CurvatureError, match="spectrum incomplete$"):
             lambda2_spectrum(op, candidates)
 
@@ -341,22 +379,99 @@ class TestParallelIdentities:
         assert good.passed and not bad.passed
 
 
-def rhat_by_loop(op):
-    """The pair-basis matrix of R^ entry by entry, as it was first written."""
-    idx = linalg.pair_basis(op.n)
+def rhat_by_loop(t):
+    """The pair-basis matrix of R^ of a tensor entry by entry, as it was
+    first written."""
+    idx = linalg.pair_basis(t.shape[0])
     out = np.empty((len(idx), len(idx)), dtype=np.int64)
     for p, (a, b) in enumerate(idx):
         for q, (c, d) in enumerate(idx):
-            out[p, q] = -op.num[a, b, c, d]
+            out[p, q] = -t[a, b, c, d]
     return out
 
 
 @pytest.mark.parametrize("name", ["s8", "cp4", "hp2", "op2"])
 def test_rhat_gather_matches_the_loop(name):
+    # every view of the pair matrix against the tensor the oracle scatters:
+    # R^ read back entry by entry, Ricci, the curvature matrices, entries
     op = build_model(name).operator
+    n, t = op.n, scatter(op.num, op.n)
     rhat, den = op.rhat_matrix()
-    want = rhat_by_loop(op)
+    want = rhat_by_loop(t)
     assert rhat.dtype == want.dtype and np.array_equal(rhat, want) and den == op.den
+    assert np.array_equal(op.ricci_num(), np.einsum("xaay->xy", t))
+    for a in range(n):
+        for b in range(n):
+            assert np.array_equal(op.curvature_matrix(a, b), t[a, b].T)
+    for a, b, c, d in [(0, 1, 0, 1), (1, 0, 2, 3), (3, 2, 1, 0), (0, 0, 1, 2), (n - 1, 2, 5, n - 2)]:
+        assert op.entry(a, b, c, d) == Fraction(int(t[a, b, c, d]), den)
+
+
+class TestPairMatrixFormat:
+    def test_a_tensor_is_refused(self):
+        with pytest.raises(CurvatureError, match="does not match n=4"):
+            CurvatureOperator(4, np.zeros((4, 4, 4, 4), dtype=np.int64))
+
+    def test_entries_past_int64_stay_exact(self):
+        # R^ = (2^63 / 3) I on n = 3 is constant curvature 2^63 / 3, and 3
+        # does not divide 2^63, so nothing is reduced back into int64
+        big = 2**63
+        op = CurvatureOperator(3, np.eye(3, dtype=np.int64).astype(object) * big, 3)
+        assert op.num.dtype == object and op.den == 3
+        assert op.scalar() == Fraction(2 * 3 * big, 3)
+        assert op.rhat_trace() == op.scalar() / 2
+
+
+def kulkarni_nomizu(h, k):
+    """Oracle: the pair matrix of the Kulkarni-Nomizu product of two
+    symmetric bilinear forms, an algebraic curvature tensor."""
+    t = (
+        np.einsum("ad,bc->abcd", h, k)
+        + np.einsum("bc,ad->abcd", h, k)
+        - np.einsum("ac,bd->abcd", h, k)
+        - np.einsum("bd,ac->abcd", h, k)
+    )
+    return gather(t)
+
+
+def four_form(n, values):
+    """The pair matrix w[ab,cd] of the 4-form with the given values on the
+    quadruples a < b < c < d: an element of S^2(Lambda^2) whose Bianchi sum
+    is 3 w."""
+    w = np.zeros((n, n, n, n), dtype=np.int64)
+    for value, quad in zip(values, itertools.combinations(range(n), 4)):
+        for perm in itertools.permutations(range(4)):
+            inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
+            w[tuple(quad[i] for i in perm)] = (-1) ** inversions * value
+    return -gather(w)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_pair_matrix_checks_agree_with_the_tensor_scans(data):
+    n = data.draw(st.integers(4, 7), label="n")
+    m = n * (n - 1) // 2
+    small = st.integers(-3, 3)
+
+    def matrix(rows, cols):
+        return np.array(data.draw(st.lists(small, min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+
+    if data.draw(st.booleans(), label="curvature tensor"):
+        h, k = matrix(n, n), matrix(n, n)
+        base = kulkarni_nomizu(h + h.T, k + k.T)
+        assert CurvatureOperator(n, base).symmetry_violations() == []
+    else:
+        a = matrix(m, m)
+        base = a + a.T
+    num = base
+    if data.draw(st.booleans(), label="plus a 4-form"):
+        num = num + four_form(n, data.draw(st.lists(small, min_size=math.comb(n, 4), max_size=math.comb(n, 4))))
+    op = CurvatureOperator(n, num, data.draw(st.integers(1, 6), label="den"), check=False)
+    assert op.symmetry_violations() == tensor_violations(scatter(op.num, n), op.den)
+    skew = matrix(m, m)
+    if (skew != skew.T).any():
+        broken = CurvatureOperator(n, num + skew, check=False)
+        assert broken.symmetry_violations() == ["pair symmetry fails"]
 
 
 class TestCcNormalization:

@@ -373,3 +373,12 @@ def test_elimination_matches_fraction_oracle(rows, scale):
         else:
             inv_num, inv_den = linalg.inverse(a)
             assert as_fractions(inv_num, inv_den) == want_inv
+
+
+def test_coords_to_skew_takes_a_stack():
+    coords = np.arange(12).reshape(2, 6) - 5
+    stack = linalg.coords_to_skew(coords, 4)
+    assert stack.shape == (2, 4, 4)
+    for row, mat in zip(coords, stack):
+        assert np.array_equal(mat, linalg.coords_to_skew(row, 4))
+        assert np.array_equal(linalg.skew_to_coords(mat), row)
