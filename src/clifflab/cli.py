@@ -330,8 +330,12 @@ VERIFY_ALL_SUITES = {
 
 def cmd_verify_all(args) -> int:
     t0 = time.monotonic()
-    suites = [suite() for suite in VERIFY_ALL_SUITES.values()]
-    timing = {"seconds": round(time.monotonic() - t0, 3)} if args.timings else None
+    suites, seconds = [], {}
+    for name, suite in VERIFY_ALL_SUITES.items():
+        start = time.monotonic()
+        suites.append(suite())
+        seconds[name] = round(time.monotonic() - start, 3)
+    timing = {"seconds": round(time.monotonic() - t0, 3), "suites": seconds} if args.timings else None
     report = _report("verify-all", {"seed": args.seed}, suites, timing)
     _write_or_print(_dump(report), args.out)
     return 0 if report["passed"] else 1

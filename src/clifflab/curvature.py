@@ -51,7 +51,7 @@ class CurvatureOperator:
     """An algebraic curvature operator on R^n, stored as the integer (m, m)
     matrix ``num`` of R^ in the pair basis (m = n(n-1)/2) over one positive
     ``den``, and nothing else.  With idx[a,b] the row of the pair {a, b} and
-    sgn[a,b] = +1 for a < b, -1 for a > b, 0 for a = b (``_pair_index``),
+    sgn[a,b] = +1 for a < b, -1 for a > b, 0 for a = b (``linalg.pair_index``),
 
         den * R(X_a, X_b, X_c, X_d) = -sgn[a,b] sgn[c,d] num[idx[a,b], idx[c,d]],
 
@@ -64,8 +64,16 @@ class CurvatureOperator:
         m = n * (n - 1) // 2
         if num.shape != (m, m):
             raise CurvatureError(f"pair matrix shape {num.shape} does not match n={n}, m={m}")
+        try:
+            num = linalg.as_integer(num)
+        except ValueError as err:
+            raise CurvatureError(f"pair matrix: {err}") from None
         self.n = n
         self.num, self.den = linalg.normalize(num, den)
+        # coordinate columns B of a subspace h that R^ is built to vanish off
+        # (set by isotropy_projection_op); None stands for the whole pair
+        # basis.  A hint only: verify_parallel_identities certifies it first.
+        self.image = None
         if check:
             problems = self.symmetry_violations()
             if problems:
@@ -88,7 +96,7 @@ class CurvatureOperator:
         if (self.num != self.num.T).any():
             return ["pair symmetry fails"]
         r = linalg.exact(self.num, 3 * linalg.max_abs(self.num))
-        idx, _ = _pair_index(self.n)
+        idx, _ = linalg.pair_index(self.n)
         a, b = np.triu_indices(self.n, 1)
         # the pairs p = (a, b) and q = (c, d) with b < c
         p, q = np.nonzero(b[:, None] < a[None, :])
@@ -99,12 +107,12 @@ class CurvatureOperator:
         return []
 
     def entry(self, a: int, b: int, c: int, d: int) -> Fraction:
-        idx, sgn = _pair_index(self.n)
+        idx, sgn = linalg.pair_index(self.n)
         return Fraction(-int(sgn[a, b] * sgn[c, d]) * int(self.num[idx[a, b], idx[c, d]]), self.den)
 
     def curvature_matrix(self, a: int, b: int) -> np.ndarray:
         """Numerator of the skew matrix R_{X_a, X_b}; divide by den."""
-        idx, sgn = _pair_index(self.n)
+        idx, sgn = linalg.pair_index(self.n)
         return linalg.coords_to_skew(-sgn[a, b] * self.num[idx[a, b]], self.n)
 
     def rhat_matrix(self) -> tuple[np.ndarray, int]:
@@ -118,7 +126,7 @@ class CurvatureOperator:
 
     def ricci_num(self) -> np.ndarray:
         """den * Ric: the sum over a of den * R(X_x, X_a, X_a, X_y), one gather."""
-        idx, sgn = _pair_index(self.n)
+        idx, sgn = linalg.pair_index(self.n)
         num = linalg.exact(self.num, self.n * linalg.max_abs(self.num))
         return -(sgn[:, :, None] * sgn[None, :, :] * num[idx[:, :, None], idx[None, :, :]]).sum(axis=1)
 
@@ -133,31 +141,35 @@ class CurvatureOperator:
         return Fraction(int(np.trace(self.num)), self.den)
 
 
-def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """idx[a,b], the row of the pair {a, b} in the pair basis (0 on the
-    diagonal), and sgn[a,b]: +1 for a < b, -1 for a > b, 0 for a = b."""
-    a, b = np.triu_indices(n, 1)
-    idx = np.zeros((n, n), dtype=np.intp)
-    idx[a, b] = idx[b, a] = np.arange(len(a))
-    return idx, -np.sign(np.subtract.outer(np.arange(n), np.arange(n)))
-
-
 # -- model constructors --------------------------------------------------------
 
 
-def _projection_matrix(basis: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
-    """Orthogonal projection of the pair-coordinate space onto the span of
-    trace-orthogonal nonzero skew matrices, as (numerator, den): P = B
-    diag(1/g) B^T for their coordinate columns B, B^T B = diag(g) certified."""
-    b = np.stack([linalg.skew_to_coords(g) for g in basis], axis=1)
+def _weighted(b: np.ndarray, norms: list[int]) -> tuple[np.ndarray, int]:
+    """B diag(L/g) and L = lcm(g) for columns b of nonzero squared norms g:
+    the factors of Q = B diag(1/g) B^T = B diag(L/g) B^T / L."""
+    lcm = math.lcm(*norms)
+    weights = [lcm // g for g in norms]
+    bound = linalg.max_abs(b) * max(weights)
+    return linalg.exact(b, bound) * linalg.exact(np.array(weights), bound), lcm
+
+
+def _projection(b: np.ndarray) -> tuple[np.ndarray, int]:
+    """The orthogonal projection P = B diag(1/g) B^T of the pair-coordinate
+    space onto the span of the columns b, the coordinates of nonzero
+    trace-orthogonal skew matrices (B^T B = diag(g) certified), as the
+    factors (scaled, den) of P = scaled B^T / den (``_weighted``)."""
     try:
         norms = linalg.orthogonal_gram(b)
     except ValueError as err:
         raise CurvatureError(f"ideal generators are not an orthogonal basis: {err}") from err
-    # every entry of B diag(den/g) is at most den in absolute value
-    den = math.lcm(*norms)
-    scaled = linalg.exact(b * np.array([den // g for g in norms], dtype=object), den)
-    return linalg.normalize(linalg.imatmul(scaled, b.T), den)
+    return _weighted(b, norms)
+
+
+def _blocks(count: int, n: int, h: int) -> list[slice]:
+    """Slices of a batch of ``count`` operators whose bracket coordinates
+    against h columns, (block, m, h), stay within an (m, n, n) stack."""
+    block = max(1, n * n // h)
+    return [slice(lo, lo + block) for lo in range(0, count, block)]
 
 
 def isotropy_projection_op(
@@ -170,7 +182,8 @@ def isotropy_projection_op(
     the space of 2-forms orthogonally (trace pairing) onto its span.  Bracket
     closure of each ideal and vanishing of cross brackets are checked, then
     the first Bianchi identity of the resulting R^ is checked rather than
-    assumed: scales violating it raise CalibrationError.
+    assumed: scales violating it raise CalibrationError.  The operator
+    records the concatenated coordinate columns of the bases as ``image``.
     """
     if len(ideals) != len(scales):
         raise CurvatureError("one scale per ideal")
@@ -181,33 +194,41 @@ def isotropy_projection_op(
         for g in ideal:
             if not linalg.is_skew(np.asarray(g)):
                 raise CurvatureError("ideal generators must be skew")
-    projections = [_projection_matrix([np.asarray(g) for g in ideal]) for ideal in ideals]
-    # bracket closure per ideal, one batch per generator: P C = C for the
-    # bracket coordinates C; cross brackets vanish
-    stacks = [np.stack([np.asarray(g) for g in ideal]) for ideal in ideals]
+    mats = [np.stack([np.asarray(g) for g in ideal]) for ideal in ideals]
+    stacks = [linalg.OperatorStack.of(x, n) for x in mats]
+    coords = [linalg.skew_to_coords(x).T for x in mats]
+    projections = [_projection(b) for b in coords]
+    # bracket closure, batched per pair of ideals: P C = C for the bracket
+    # coordinates C within an ideal, and C = 0 across two
     for a_i, xa in enumerate(stacks):
-        for b_i, xb in enumerate(stacks):
-            for x in xa:
-                brackets = linalg.commutator(x, xb)
+        for b_i, xb in enumerate(coords):
+            for rows in _blocks(len(xa), n, xb.shape[1]):
+                brackets = xa[rows].bracket_coords(xb)
                 if a_i != b_i:
                     if brackets.any():
                         raise CurvatureError("ideals do not commute; not a direct sum")
                     continue
-                p_num, p_den = projections[a_i]
-                c = linalg.skew_to_coords(brackets).T
-                if not np.array_equal(linalg.imatmul(p_num, c), p_den * c):
+                scaled, p_den = projections[a_i]
+                c = brackets.transpose(1, 0, 2).reshape(len(xb), -1)
+                if not np.array_equal(linalg.imatmul(scaled, linalg.imatmul(xb.T, c)), p_den * c):
                     raise CurvatureError("generators are not closed under brackets")
 
     m = len(linalg.pair_basis(n))
     rhat_num, den = linalg.rational_combination(
-        ((Fraction(scale) / p_den, p_num) for (p_num, p_den), scale in zip(projections, scales)), m
+        (
+            (Fraction(scale) / p_den, linalg.imatmul(scaled, b.T))
+            for (scaled, p_den), b, scale in zip(projections, coords, scales)
+        ),
+        m,
     )
     try:
-        return CurvatureOperator(n, rhat_num, den)
+        op = CurvatureOperator(n, rhat_num, den)
     except CurvatureError as err:
         raise CalibrationError(
             f"the given scales do not define a curvature tensor: {err}"
         ) from err
+    op.image = np.concatenate(coords, axis=1)
+    return op
 
 
 # -- spectra ---------------------------------------------------------------------
@@ -273,7 +294,111 @@ def verify_parallel_identities(
     s = j term of the second are dropped (curvature forms of a metric
     connection have zero diagonal); and the Einstein identity
     Ric = kappa (n/4 + 2r - 4) g.
+
+    A passing family is decided on the image of R^ (``_certified_pass``);
+    every other outcome runs the direct suite, which names the witnesses.
     """
+    if op.n != s.n:
+        raise CurvatureError("operator and structure dimensions differ")
+    if _certified_pass(op, s, Fraction(kappa)):
+        return VerificationReport("parallel_identities")
+    return _direct_parallel_identities(op, s, kappa)
+
+
+def _scaled_equal(a: np.ndarray, ka: int, b: np.ndarray, kb: int) -> bool:
+    """ka a == kb b entrywise (shapes broadcast), exactly."""
+    a = linalg.exact(a, abs(ka) * linalg.max_abs(a))
+    b = linalg.exact(b, abs(kb) * linalg.max_abs(b))
+    return bool((ka * a == kb * b).all())
+
+
+def _certified_pass(op: CurvatureOperator, s: EvenCliffordStructure, kappa: Fraction) -> bool:
+    """Whether every identity of ``verify_parallel_identities`` holds, decided
+    with a few batched products and gathers; False also when a step cannot
+    be certified.
+
+    It needs the family in column form with every J skew.  With B the
+    columns of ``op.image`` (the identity when None), g the diagonal of
+    B^T B, L = lcm(g) and Q = B diag(1/g) B^T, it certifies Q R^ = R^ and
+    F Q = F for the rows F of the family's coordinates.  Proof that the
+    action identity then holds on all of Lambda^2 once it holds on the
+    columns of B, with no symmetry of R^ assumed: in coordinates both sides
+    depend on omega only through R^T omega (R_omega has coordinates
+    -R^T omega) and through F omega (g(J X_a, X_b) is the (a, b) coordinate
+    of J), both linearly.  Q is symmetric, so R^T = R^T Q and F = F Q give
+    R^T omega = R^T (Q omega) and F omega = F (Q omega): each side takes the
+    same value at omega and at Q omega, which lies in the span of B.
+
+    On the columns of B the left side is the gather bracket_coords(J, R^T B)
+    of -[J, R_omega].  The right side sums the 2(r - 2) terms with s not in
+    {i, j} as products of coordinate rows indexed over ``JFamily.ordered``:
+    the J_jj = J_ii = -1 terms contribute -(c_ji + c_ij) 1 = 0, as c_ji =
+    -c_ij.  The family is taken in blocks, so that no temporary outgrows
+    the (m, n, n) stack of the direct suite.
+    """
+    fam, n, r = s.family, s.n, s.r
+    stack = fam.stack
+    if stack.form != "columns" or stack.T.differs(-stack).any():
+        return False
+    rhat, den = op.rhat_matrix()
+    kd, kn = kappa.denominator, kappa.numerator
+    f = linalg.skew_to_coords(stack.matrix())
+    # the image certificate: Q R^ = R^ and F Q = F, with W = B^T R^ and the
+    # coefficients F B
+    if op.image is None:
+        w, fb = rhat, f
+    else:
+        basis = op.image
+        norms = np.diagonal(linalg.imatmul(basis.T, basis)).tolist()
+        if 0 in norms:
+            return False
+        scaled, lcm = _weighted(basis, norms)
+        w, fb = linalg.imatmul(basis.T, rhat), linalg.imatmul(f, basis)
+        if not _scaled_equal(linalg.imatmul(scaled, w), 1, rhat, lcm):
+            return False
+        if not _scaled_equal(linalg.imatmul(fb, scaled.T), 1, f, lcm):
+            return False
+    # eigenvalue identity, one product
+    if not _scaled_equal(linalg.imatmul(rhat, f.T), 4 * kd, f.T, n * kn * den):
+        return False
+
+    # the curvature action on the columns of B: the coefficient and target
+    # rows of the 2(r - 2) surviving terms of each pair (i, j)
+    row = fam.ordered[1]
+    pairs = s.pairs()
+    others = [[x for x in range(1, r + 1) if x not in p] for p in pairs]
+    coef = np.array(
+        [[row[(x, i)] for x in o] + [row[(x, j)] for x in o] for (i, j), o in zip(pairs, others)], dtype=np.intp
+    ).reshape(len(pairs), -1)
+    target = np.array(
+        [[row[(x, j)] for x in o] + [row[(i, x)] for x in o] for (i, j), o in zip(pairs, others)], dtype=np.intp
+    ).reshape(len(pairs), -1)
+    # F and F B along the rows of ``ordered``: J_ij, then -J_ij, then -1
+    f_ord, fb_ord = (np.concatenate([x, -x, np.zeros((1, x.shape[1]), dtype=x.dtype)]) for x in (f, fb))
+    for rows in _blocks(len(pairs), n, w.shape[0]):
+        lhs = stack[rows].bracket_coords(w.T)
+        rhs = linalg.imatmul(f_ord[target[rows]].transpose(0, 2, 1), fb_ord[coef[rows]])
+        if not _scaled_equal(lhs, kd, rhs, kn * den):
+            return False
+
+    # Einstein, as the direct suite computes it
+    ric = op.ricci_num()
+    if not _scaled_equal(ric, 4 * kd, linalg.eye(n), kn * (n + 8 * r - 16) * den):
+        return False
+    # Ricci system: Ric = -(kappa / 4) sum_q N[p, q] J_q^2 with N[p, p] = n
+    # and N = 4 at the pairs {x, i} and {x, j}, x not in {i, j}; row % P is
+    # the pair of both J_xy and J_yx
+    squares = (stack @ stack).matrix().reshape(len(pairs), -1)
+    incidence = n * linalg.eye(len(pairs))
+    np.add.at(incidence, (np.arange(len(pairs))[:, None], coef % len(pairs)), 4)
+    return _scaled_equal(linalg.imatmul(incidence, squares), kn * den, ric.reshape(1, -1), -4 * kd)
+
+
+def _direct_parallel_identities(
+    op: CurvatureOperator, s: EvenCliffordStructure, kappa: Fraction | int
+) -> VerificationReport:
+    """``verify_parallel_identities`` checked pair by pair, with a witness
+    for every failure."""
     if op.n != s.n:
         raise CurvatureError("operator and structure dimensions differ")
     kappa = Fraction(kappa)

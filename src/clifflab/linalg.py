@@ -322,6 +322,38 @@ class OperatorStack:
             out = out @ padded[column]
         return out
 
+    def bracket_coords(self, v: np.ndarray) -> np.ndarray:
+        """Pair coordinates of [A_t, coords_to_skew(v[:, b])] for every matrix
+        A_t of a stack with one batch axis and every column of the (m, h)
+        integer matrix v: an array of shape (T, m, h).
+
+        A skew column form, A e_c = s_c e_{p(c)} with p(p(c)) = c and
+        s_{p(c)} = -s_c, gives [A, X_a ^ X_b] = s_b e_{a,p(b)} - s_a e_{b,p(a)},
+        where e_{x,y} = -e_{y,x} and e_{x,x} = 0.  That map is skew for the
+        coordinate pairing, so row (a, b) of it is minus column (a, b), and the
+        result is two signed row gathers of v.  Any other stack, a column form
+        that is not skew included, takes two 2-d products.
+        """
+        n, count = self.n, len(self)
+        v = np.asarray(v)
+        a, b = np.triu_indices(n, 1)
+        if self._dense is None and not self.T.differs(-self).any():
+            idx, sgn = pair_index(n)
+            p, s = self._perm, self._sign
+            v = exact(v, 2 * max_abs(v))
+            near, far = idx[a, p[:, b]], idx[b, p[:, a]]
+            out = (-s[:, b] * sgn[a, p[:, b]])[..., None] * v[near]
+            out += (s[:, a] * sgn[b, p[:, a]])[..., None] * v[far]
+            return out
+        # A_t V_b as (T n, n) @ (n, h n), and V_b A_t as its mirror
+        mats, h = self._array(), v.shape[1]
+        skew = coords_to_skew(v.T, n)
+        left = imatmul(mats.reshape(count * n, n), skew.transpose(1, 0, 2).reshape(n, h * n))
+        right = imatmul(skew.reshape(h * n, n), mats.transpose(1, 0, 2).reshape(n, count * n))
+        left = left.reshape(count, n, h, n).transpose(0, 2, 1, 3)[..., b, a]
+        right = right.reshape(h, n, count, n).transpose(2, 0, 1, 3)[..., b, a]
+        return (left - right).transpose(0, 2, 1)
+
     def pair_traces(self) -> list[int]:
         """trace(A_x A_y) for every x < y of a stack with one batch axis, in
         row order, without forming the products."""
@@ -468,6 +500,18 @@ def inverse(a) -> tuple[np.ndarray, int]:
 
 def pair_basis(n: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(n) for b in range(a + 1, n)]
+
+
+def pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """idx[a,b], the row of the pair {a, b} in the pair basis (0 on the
+    diagonal), and sgn[a,b]: +1 for a < b, -1 for a > b, 0 for a = b, so that
+    X_a ^ X_b = sgn[a,b] times the basis element of row idx[a,b]."""
+    sgn = -np.sign(np.subtract.outer(np.arange(n), np.arange(n)))
+    # the pairs a < b in row order, as np.triu_indices(n, 1) lists them
+    a, b = np.nonzero(sgn > 0)
+    idx = np.zeros((n, n), dtype=np.intp)
+    idx[a, b] = idx[b, a] = np.arange(len(a))
+    return idx, sgn
 
 
 def skew_to_coords(m: np.ndarray) -> np.ndarray:

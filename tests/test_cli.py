@@ -357,6 +357,18 @@ class TestVerifyAll:
         ]
         assert hodge["data"] == {"rejected_ranks": [5, 6]}
 
+    def test_timings_name_every_suite(self, tmp_path, verify_all_report):
+        out = tmp_path / "report.json"
+        assert run_cli("verify-all", "--timings", "--out", str(out)) == 0
+        report = json.loads(out.read_text())
+        timing = report.pop("timing")
+        assert list(timing) == ["seconds", "suites"]
+        assert list(timing["suites"]) == list(cli.VERIFY_ALL_SUITES)
+        assert all(isinstance(t, float) and t >= 0 for t in [timing["seconds"], *timing["suites"].values()])
+        # everything but the timing is the report of a run without the flag
+        plain = json.loads(verify_all_report)
+        assert plain.pop("timing") is None and report == plain
+
     def test_exit_code_and_usage(self):
         assert run_cli("no-such-command") == 2
 

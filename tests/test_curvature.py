@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clifflab import linalg
+from clifflab import curvature, linalg
 from clifflab.curvature import (
     MODEL_NAMES,
     CalibrationError,
@@ -22,7 +22,7 @@ from clifflab.curvature import (
     verify_cc_normalization,
     verify_parallel_identities,
 )
-from clifflab.reps import build_even_rep, j_family, quaternion_units
+from clifflab.reps import build_even_rep, irreducible_even_rep, j_family, quaternion_units
 from clifflab.structure import EvenCliffordStructure, Failure, verify_orthogonality, volume_endomorphism
 
 
@@ -379,6 +379,111 @@ class TestParallelIdentities:
         assert good.passed and not bad.passed
 
 
+def reports_agree(op, s, kappa):
+    """The suite's report, which equals the direct suite's, as a dict."""
+    got = verify_parallel_identities(op, s, kappa).to_dict()
+    assert got == curvature._direct_parallel_identities(op, s, kappa).to_dict()
+    return got
+
+
+def refuse_direct_suite(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the direct suite ran")
+
+    monkeypatch.setattr(curvature, "_direct_parallel_identities", refuse)
+
+
+class TestCertifiedIdentities:
+    @pytest.mark.parametrize("kappa", [2, 1, Fraction(3, 2)])
+    @pytest.mark.parametrize("name", ["s8", "cp4", "hp2", "op2"])
+    def test_models_agree_with_the_direct_suite(self, name, kappa):
+        m = build_model(name)
+        assert reports_agree(m.operator, m.structure, kappa)["passed"] == (kappa == 2)
+
+    @pytest.mark.parametrize("name", ["s8", "cp4", "hp2", "op2"])
+    def test_a_passing_model_never_runs_the_direct_suite(self, name, monkeypatch):
+        m = build_model(name)
+        refuse_direct_suite(monkeypatch)
+        assert verify_parallel_identities(m.operator, m.structure, 2).passed
+        assert verify_cc_normalization(m.operator, m.structure).passed
+
+    @pytest.mark.parametrize(
+        "name, op",
+        [
+            ("s8", lambda s: textbook_op(8, 4)),
+            ("cp4", lambda s: textbook_op(8, 2, [volume_endomorphism(s)[0]])),
+            ("hp2", lambda s: textbook_op(8, 1, quaternion_units(2))),
+        ],
+        ids=["constant curvature", "Fubini-Study", "quaternionic"],
+    )
+    def test_textbook_operators_are_decided_on_all_of_lambda2(self, name, op, monkeypatch):
+        s = build_model(name).structure
+        op = op(s)
+        assert op.image is None
+        for kappa in (2, 1):
+            assert reports_agree(op, s, kappa)["passed"] == (kappa == 2)
+        refuse_direct_suite(monkeypatch)
+        assert verify_parallel_identities(op, s, 2).passed
+
+    @pytest.mark.parametrize("name", ["cp4", "hp2"])
+    def test_an_image_without_the_commutant_is_not_certified(self, name):
+        # R^ is nonzero on the commutant, which the cut image leaves out:
+        # Q R^ = R^ fails, and the direct suite decides (and passes)
+        m = build_model(name)
+        op = m.operator
+        pairs = len(m.structure.pairs())
+        assert op.image.shape[1] > pairs
+        op.image = op.image[:, :pairs]
+        assert not curvature._certified_pass(op, m.structure, Fraction(2))
+        assert reports_agree(op, m.structure, 2)["passed"]
+
+    def test_a_family_that_is_not_skew_takes_the_direct_suite(self):
+        m = build_model("s8")
+        mats = dict(m.structure.family.mats)
+        flipped = mats[(1, 2)].copy()
+        c = int(np.flatnonzero(flipped[:, 0])[0])
+        flipped[c, 0] = -flipped[c, 0]
+        mats[(1, 2)] = flipped
+        s = EvenCliffordStructure.from_matrices(8, 8, mats)
+        assert s.family.stack.form == "columns" and not linalg.is_skew(flipped)
+        assert not curvature._certified_pass(m.operator, s, Fraction(2))
+        assert not reports_agree(m.operator, s, 2)["passed"]
+
+    @pytest.mark.parametrize("name, pair", [("s8", (1, 2)), ("s8", (7, 8)), ("op2", (8, 9))])
+    def test_a_negated_form_fails_the_action_identity_alone(self, name, pair):
+        # -J_ij is skew with square -1, and R^ (a multiple of the identity on
+        # the span of the family) keeps the eigenvalue identity: only the
+        # action identity sees the change.  On s8 the gather takes two pairs
+        # per block, and the first, (1, 2) and (1, 3), involves no J_78
+        m = build_model(name)
+        mats = dict(m.structure.family.mats)
+        mats[pair] = -mats[pair]
+        s = EvenCliffordStructure.from_matrices(m.n, m.r, mats)
+        report = reports_agree(m.operator, s, 2)
+        assert {f["identity"] for f in report["failures"]} == {"curvature_action"}
+
+
+def e6_plane():
+    """The E6 plane E6/Spin(10)U(1): the Cl0_10 module (n = 32) with its
+    u(1) commutant, at the scales 16 = n/2 and 48."""
+    rep = irreducible_even_rep(10)
+    s = EvenCliffordStructure.from_rep(rep)
+    _, commutant = centralizer_dim(rep.stack)
+    assert len(commutant) == 1
+    return s, isotropy_projection_op([[s.family.mats[p] for p in s.pairs()], commutant], [16, 48])
+
+
+def test_e6_plane(monkeypatch):
+    s, op = e6_plane()
+    assert op.image.shape == (496, 46)
+    assert reports_agree(op, s, 2)["passed"]
+    assert op.scalar() == 1536  # Table 3
+    assert lambda2_spectrum(op, [0, 16, 48]) == [(Fraction(0), 450), (Fraction(16), 45), (Fraction(48), 1)]
+    refuse_direct_suite(monkeypatch)
+    report = verify_cc_normalization(op, s)
+    assert report.passed and report.data["scal"] == "1536"
+
+
 def rhat_by_loop(t):
     """The pair-basis matrix of R^ of a tensor entry by entry, as it was
     first written."""
@@ -420,6 +525,11 @@ class TestPairMatrixFormat:
         assert op.num.dtype == object and op.den == 3
         assert op.scalar() == Fraction(2 * 3 * big, 3)
         assert op.rhat_trace() == op.scalar() / 2
+
+    @pytest.mark.parametrize("num", [np.eye(3) / 2, np.eye(3), np.eye(3, dtype=bool)], ids=["halves", "float ones", "bools"])
+    def test_a_non_integer_matrix_is_refused(self, num):
+        with pytest.raises(CurvatureError, match="is not an integer"):
+            CurvatureOperator(3, num)
 
 
 def kulkarni_nomizu(h, k):

@@ -382,3 +382,68 @@ def test_coords_to_skew_takes_a_stack():
     for row, mat in zip(coords, stack):
         assert np.array_equal(mat, linalg.coords_to_skew(row, 4))
         assert np.array_equal(linalg.skew_to_coords(mat), row)
+
+
+def _bracket_oracle(mats, v, n):
+    """skew_to_coords of the dense commutators [A_t, coords_to_skew(v[:, b])]."""
+    skew = linalg.coords_to_skew(v.T, n)
+    return np.stack([linalg.skew_to_coords(linalg.commutator(a[None], skew)).T for a in mats])
+
+
+def _skew_signed_perm(rng, n):
+    """A skew signed permutation: a random fixed-point-free involution p with
+    A e_c = s e_{p(c)}, A e_{p(c)} = -s e_c (n even)."""
+    m = linalg.zeros(n)
+    order = rng.permutation(n)
+    for c, d in zip(order[::2], order[1::2]):
+        s = rng.choice([-1, 1])
+        m[d, c], m[c, d] = s, -s
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bracket_coords_agrees_with_dense_commutators(data):
+    n = data.draw(st.integers(2, 8), label="n")
+    k = data.draw(st.integers(1, 4), label="k")
+    h = data.draw(st.integers(1, 3), label="h")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    kind = data.draw(st.sampled_from(["skew signed permutations", "dense skew", "signed permutations"]))
+    if kind == "skew signed permutations" and n % 2:
+        kind = "dense skew"  # no skew matrix of odd size is invertible
+    if kind == "skew signed permutations":
+        mats = [_skew_signed_perm(rng, n) for _ in range(k)]
+    elif kind == "dense skew":
+        mats = [a - a.T for a in rng.integers(-4, 5, (k, n, n))]
+    else:
+        mats = _signed_perms(rng, k, n)
+    v = rng.integers(-9, 10, (n * (n - 1) // 2, h))
+    stack = linalg.OperatorStack.of(mats, n)
+    want = _bracket_oracle(mats, v, n)
+    got = stack.bracket_coords(v)
+    assert got.shape == (k, n * (n - 1) // 2, h) and np.array_equal(got, want)
+    assert np.array_equal(_dense_stack(mats, n).bracket_coords(v), want)
+
+
+def test_bracket_coords_takes_no_gather_for_a_column_form_that_is_not_skew():
+    # the skew signed permutation e_0 <-> e_5, e_1 <-> e_4, e_2 <-> e_3 with
+    # the sign of its column 0 flipped is still a column form; the gather
+    # formula, which reads A[5, 0] as -s_5, would answer wrongly on the rows
+    # (a, 5), 0 < a < 5
+    good = linalg.zeros(6)
+    for c, d in ((0, 5), (1, 4), (2, 3)):
+        good[d, c], good[c, d] = 1, -1
+    bad = good.copy()
+    bad[5, 0] = -1
+    stack = linalg.OperatorStack.of([good, bad], 6)
+    assert stack.form == "columns" and not linalg.is_skew(bad)
+    v = np.random.default_rng(1).integers(-9, 10, (15, 4))
+    assert np.array_equal(stack.bracket_coords(v), _bracket_oracle([good, bad], v, 6))
+
+
+def test_bracket_coords_stays_exact_past_int64():
+    a = _skew_signed_perm(np.random.default_rng(2), 4)
+    v = linalg.as_integer(np.full((6, 1), 2**62, dtype=object))
+    got = linalg.OperatorStack.of([a], 4).bracket_coords(v)
+    assert got.dtype == object
+    assert got.tolist() == _bracket_oracle([a], v.astype(object), 4).tolist()
