@@ -13,9 +13,10 @@ Conventions, fixed once:
   family satisfies R^(J_ik) = (n kappa / 4) J_ik.
 * Ric(X,Y) = sum_a g(R_{X, X_a} X_a, Y).
 
-R^ is stored as its integer pair-basis matrix over one positive denominator;
-the (4,0) tensor, Ricci and the matrices R_{X_a, X_b} are gathers from it.
-Every check is exact.
+R^ is stored as integer factors B W B^T over one positive denominator, B
+orthogonal coordinate columns; the spectrum and the identity suite's
+certificate read the factors, and the (4,0) tensor, Ricci and the matrices
+R_{X_a, X_b} are gathers from the pair-basis matrix.  Every check is exact.
 """
 
 from __future__ import annotations
@@ -48,32 +49,46 @@ class CalibrationError(ValueError):
 
 
 class CurvatureOperator:
-    """An algebraic curvature operator on R^n, stored as the integer (m, m)
-    matrix ``num`` of R^ in the pair basis (m = n(n-1)/2) over one positive
-    ``den``, and nothing else.  With idx[a,b] the row of the pair {a, b} and
-    sgn[a,b] = +1 for a < b, -1 for a > b, 0 for a = b (``linalg.pair_index``),
+    """An algebraic curvature operator on R^n, stored as its factors R^ =
+    B W B^T / den: B the integer (m, h) matrix ``basis`` of coordinate
+    columns (m = n(n-1)/2), certified once by ``linalg.orthogonal_gram``:
+    B^T B = diag(g), every g > 0 (``norms``); W the integer (h, h) matrix
+    ``num``; den one positive int.  Without a basis B is the identity and
+    ``num`` is the pair matrix.  R^ B = B W diag(g) / den, and R^ vanishes
+    on the orthogonal complement of the span of B.
 
-        den * R(X_a, X_b, X_c, X_d) = -sgn[a,b] sgn[c,d] num[idx[a,b], idx[c,d]],
+    ``rhat_matrix`` is the one m x m view.  With idx[a,b] the row of the
+    pair {a, b} and sgn[a,b] = +1 for a < b, -1 for a > b, 0 for a = b
+    (``linalg.pair_index``), its numerator N and denominator D give
+
+        D * R(X_a, X_b, X_c, X_d) = -sgn[a,b] sgn[c,d] N[idx[a,b], idx[c,d]],
 
     so both antisymmetries of R hold by the format; pair symmetry and the
     first Bianchi identity are checked (``symmetry_violations``).
     """
 
-    def __init__(self, n: int, num, den: int = 1, check: bool = True):
-        num = np.asarray(num)
+    def __init__(self, n: int, num, den: int = 1, check: bool = True, basis=None):
         m = n * (n - 1) // 2
-        if num.shape != (m, m):
-            raise CurvatureError(f"pair matrix shape {num.shape} does not match n={n}, m={m}")
+        self.n = n
+        self.basis, self.norms = None, [1] * m
+        if basis is not None:
+            try:
+                basis = linalg.as_integer(basis)
+            except ValueError as err:
+                raise CurvatureError(f"basis: {err}") from None
+            if basis.ndim != 2 or basis.shape[0] != m:
+                raise CurvatureError(f"basis shape {basis.shape} does not have m={m} rows for n={n}")
+            self.basis, self.norms = basis, _certified_norms(basis)
+        num = np.asarray(num)
+        h = len(self.norms)
+        if num.shape != (h, h):
+            raise CurvatureError(f"matrix shape {num.shape} does not match n={n}, h={h}")
         try:
             num = linalg.as_integer(num)
         except ValueError as err:
-            raise CurvatureError(f"pair matrix: {err}") from None
-        self.n = n
+            raise CurvatureError(f"matrix: {err}") from None
         self.num, self.den = linalg.normalize(num, den)
-        # coordinate columns B of a subspace h that R^ is built to vanish off
-        # (set by isotropy_projection_op); None stands for the whole pair
-        # basis.  A hint only: verify_parallel_identities certifies it first.
-        self.image = None
+        self._rhat = None
         if check:
             problems = self.symmetry_violations()
             if problems:
@@ -84,18 +99,20 @@ class CurvatureOperator:
     def symmetry_violations(self) -> list[str]:
         """Pair symmetry of R^, then the first Bianchi identity.
 
-        A matrix that is not symmetric is no element of S^2(Lambda^2), and
-        the Bianchi sum is then no 4-form, so nothing else is decided.  For
-        R in S^2(Lambda^2) the sum b(X,Y,Z,W) = R(X,Y,Z,W) + R(Y,Z,X,W) +
-        R(Z,X,Y,W) is totally antisymmetric (Besse, Einstein Manifolds, 1.G):
-        it vanishes on repeated indices and changes at most its sign under a
-        permutation, so it vanishes, and attains its largest absolute value,
-        on the quadruples a < b < c < d.  There it reads
-        -(num[ab,cd] - num[ac,bd] + num[ad,bc]) / den, one gather.
+        B has independent columns, so R^ = B W B^T / den is symmetric exactly
+        when W is.  A matrix that is not symmetric is no element of
+        S^2(Lambda^2), and the Bianchi sum is then no 4-form, so nothing else
+        is decided.  For R in S^2(Lambda^2) the sum b(X,Y,Z,W) = R(X,Y,Z,W) +
+        R(Y,Z,X,W) + R(Z,X,Y,W) is totally antisymmetric (Besse, Einstein
+        Manifolds, 1.G): it vanishes on repeated indices and changes at most
+        its sign under a permutation, so it vanishes, and attains its largest
+        absolute value, on the quadruples a < b < c < d.  There it reads
+        -(N[ab,cd] - N[ac,bd] + N[ad,bc]) / D on the m x m view, one gather.
         """
         if (self.num != self.num.T).any():
             return ["pair symmetry fails"]
-        r = linalg.exact(self.num, 3 * linalg.max_abs(self.num))
+        num, den = self.rhat_matrix()
+        r = linalg.exact(num, 3 * linalg.max_abs(num))
         idx, _ = linalg.pair_index(self.n)
         a, b = np.triu_indices(self.n, 1)
         # the pairs p = (a, b) and q = (c, d) with b < c
@@ -103,42 +120,68 @@ class CurvatureOperator:
         a, b, c, d = a[p], b[p], a[q], b[q]
         bianchi = r[p, q] - r[idx[a, c], idx[b, d]] + r[idx[a, d], idx[b, c]]
         if bianchi.any():
-            return [f"first Bianchi identity fails, max residual {Fraction(int(np.abs(bianchi).max()), self.den)}"]
+            return [f"first Bianchi identity fails, max residual {Fraction(int(np.abs(bianchi).max()), den)}"]
         return []
 
+    def rhat_matrix(self) -> tuple[np.ndarray, int]:
+        """Numerator and denominator of the pair-basis matrix of R^, in lowest
+        terms: the m x m view, formed on first use and kept."""
+        if self._rhat is None:
+            b = self.basis
+            view = self.num if b is None else linalg.imatmul(linalg.imatmul(b, self.num), b.T)
+            self._rhat = linalg.normalize(view, self.den)
+        return self._rhat
+
     def entry(self, a: int, b: int, c: int, d: int) -> Fraction:
+        num, den = self.rhat_matrix()
         idx, sgn = linalg.pair_index(self.n)
-        return Fraction(-int(sgn[a, b] * sgn[c, d]) * int(self.num[idx[a, b], idx[c, d]]), self.den)
+        return Fraction(-int(sgn[a, b] * sgn[c, d]) * int(num[idx[a, b], idx[c, d]]), den)
 
     def curvature_matrix(self, a: int, b: int) -> np.ndarray:
-        """Numerator of the skew matrix R_{X_a, X_b}; divide by den."""
+        """Numerator of the skew matrix R_{X_a, X_b}, over rhat_matrix()'s den."""
+        num, _ = self.rhat_matrix()
         idx, sgn = linalg.pair_index(self.n)
-        return linalg.coords_to_skew(-sgn[a, b] * self.num[idx[a, b]], self.n)
-
-    def rhat_matrix(self) -> tuple[np.ndarray, int]:
-        """Numerator and denominator of the pair-basis matrix of R^."""
-        return self.num, self.den
+        return linalg.coords_to_skew(-sgn[a, b] * num[idx[a, b]], self.n)
 
     def rhat_apply(self, skew: np.ndarray) -> tuple[np.ndarray, int]:
         """R^ applied to a skew integer matrix; returns (numerator, den)."""
+        num, den = self.rhat_matrix()
         coords = linalg.skew_to_coords(skew)
-        return linalg.coords_to_skew(linalg.imatmul(self.num, coords[:, None])[:, 0], self.n), self.den
+        return linalg.coords_to_skew(linalg.imatmul(num, coords[:, None])[:, 0], self.n), den
 
     def ricci_num(self) -> np.ndarray:
-        """den * Ric: the sum over a of den * R(X_x, X_a, X_a, X_y), one gather."""
+        """D * Ric, D the den of ``rhat_matrix``: the sum over a of
+        D * R(X_x, X_a, X_a, X_y), one gather."""
+        num, _ = self.rhat_matrix()
         idx, sgn = linalg.pair_index(self.n)
-        num = linalg.exact(self.num, self.n * linalg.max_abs(self.num))
+        num = linalg.exact(num, self.n * linalg.max_abs(num))
         return -(sgn[:, :, None] * sgn[None, :, :] * num[idx[:, :, None], idx[None, :, :]]).sum(axis=1)
 
     def ricci(self) -> np.ndarray:
         """Ricci tensor as a Fraction-valued symmetric matrix."""
-        return linalg.fraction_array(self.ricci_num(), self.den)
+        return linalg.fraction_array(self.ricci_num(), self.rhat_matrix()[1])
 
     def scalar(self) -> Fraction:
-        return Fraction(int(np.trace(self.ricci_num())), self.den)
+        return Fraction(int(np.trace(self.ricci_num())), self.rhat_matrix()[1])
 
     def rhat_trace(self) -> Fraction:
-        return Fraction(int(np.trace(self.num)), self.den)
+        num, den = self.rhat_matrix()
+        return Fraction(int(np.trace(num)), den)
+
+
+def _certified_norms(b: np.ndarray) -> list[int]:
+    """The squared norms g of the columns b, certified: b^T b = diag(g),
+    every g > 0; CurvatureError otherwise."""
+    try:
+        return linalg.orthogonal_gram(b)
+    except ValueError as err:
+        raise CurvatureError(f"basis columns are not an orthogonal basis: {err}") from err
+
+
+def _scale_columns(a: np.ndarray, weights: list[int]) -> np.ndarray:
+    """a diag(weights), exactly; W diag(g) gives R^ B = B W diag(g) / den."""
+    weights = linalg.as_integer(weights)
+    return linalg.exact(a, linalg.max_abs(a) * linalg.max_abs(weights)) * weights
 
 
 # -- model constructors --------------------------------------------------------
@@ -148,21 +191,7 @@ def _weighted(b: np.ndarray, norms: list[int]) -> tuple[np.ndarray, int]:
     """B diag(L/g) and L = lcm(g) for columns b of nonzero squared norms g:
     the factors of Q = B diag(1/g) B^T = B diag(L/g) B^T / L."""
     lcm = math.lcm(*norms)
-    weights = [lcm // g for g in norms]
-    bound = linalg.max_abs(b) * max(weights)
-    return linalg.exact(b, bound) * linalg.exact(np.array(weights), bound), lcm
-
-
-def _projection(b: np.ndarray) -> tuple[np.ndarray, int]:
-    """The orthogonal projection P = B diag(1/g) B^T of the pair-coordinate
-    space onto the span of the columns b, the coordinates of nonzero
-    trace-orthogonal skew matrices (B^T B = diag(g) certified), as the
-    factors (scaled, den) of P = scaled B^T / den (``_weighted``)."""
-    try:
-        norms = linalg.orthogonal_gram(b)
-    except ValueError as err:
-        raise CurvatureError(f"ideal generators are not an orthogonal basis: {err}") from err
-    return _weighted(b, norms)
+    return _scale_columns(b, [lcm // g for g in norms]), lcm
 
 
 def _blocks(count: int, n: int, h: int) -> list[slice]:
@@ -177,13 +206,15 @@ def isotropy_projection_op(
 ) -> CurvatureOperator:
     """Curvature operator c_1 P_1 + c_2 P_2 + ... for ideals of a subalgebra.
 
-    Each ideal is given by a basis of nonzero, pairwise trace-orthogonal skew
-    matrices (CurvatureError otherwise; the norms may differ); P projects
-    the space of 2-forms orthogonally (trace pairing) onto its span.  Bracket
-    closure of each ideal and vanishing of cross brackets are checked, then
-    the first Bianchi identity of the resulting R^ is checked rather than
-    assumed: scales violating it raise CalibrationError.  The operator
-    records the concatenated coordinate columns of the bases as ``image``.
+    Each ideal is given by a basis of nonzero skew matrices, and all the
+    bases together must be pairwise trace-orthogonal (CurvatureError
+    otherwise; the norms may differ); P projects the space of 2-forms
+    orthogonally (trace pairing) onto the span of its ideal.  Bracket
+    closure of each ideal and vanishing of cross brackets are checked.  The
+    operator is stored as its factors: B the concatenated coordinate
+    columns of the bases, g their squared norms and W = diag(c_k / g), so
+    R^ = B W B^T = sum_k c_k P_k.  The first Bianchi identity is checked
+    rather than assumed: scales violating it raise CalibrationError.
     """
     if len(ideals) != len(scales):
         raise CurvatureError("one scale per ideal")
@@ -197,7 +228,11 @@ def isotropy_projection_op(
     mats = [np.stack([np.asarray(g) for g in ideal]) for ideal in ideals]
     stacks = [linalg.OperatorStack.of(x, n) for x in mats]
     coords = [linalg.skew_to_coords(x).T for x in mats]
-    projections = [_projection(b) for b in coords]
+    basis = np.concatenate(coords, axis=1)
+    norms = _certified_norms(basis)
+    ends = np.cumsum([0] + [len(x) for x in mats]).tolist()
+    ideal_norms = [norms[lo:hi] for lo, hi in zip(ends, ends[1:])]
+    projections = [_weighted(b, g) for b, g in zip(coords, ideal_norms)]
     # bracket closure, batched per pair of ideals: P C = C for the bracket
     # coordinates C within an ideal, and C = 0 across two
     for a_i, xa in enumerate(stacks):
@@ -213,22 +248,15 @@ def isotropy_projection_op(
                 if not np.array_equal(linalg.imatmul(scaled, linalg.imatmul(xb.T, c)), p_den * c):
                     raise CurvatureError("generators are not closed under brackets")
 
-    m = len(linalg.pair_basis(n))
-    rhat_num, den = linalg.rational_combination(
-        (
-            (Fraction(scale) / p_den, linalg.imatmul(scaled, b.T))
-            for (scaled, p_den), b, scale in zip(projections, coords, scales)
-        ),
-        m,
-    )
+    weights = [Fraction(scale) / g for scale, gs in zip(scales, ideal_norms) for g in gs]
+    den = math.lcm(*(x.denominator for x in weights))
+    num = np.diag(np.array([x.numerator * (den // x.denominator) for x in weights], dtype=object))
     try:
-        op = CurvatureOperator(n, rhat_num, den)
+        return CurvatureOperator(n, num, den, basis=basis)
     except CurvatureError as err:
         raise CalibrationError(
             f"the given scales do not define a curvature tensor: {err}"
         ) from err
-    op.image = np.concatenate(coords, axis=1)
-    return op
 
 
 # -- spectra ---------------------------------------------------------------------
@@ -239,28 +267,34 @@ def lambda2_spectrum(
 ) -> list[tuple[Fraction, int]]:
     """Verified eigenvalue/multiplicity list of R^ on 2-forms.
 
-    Exact, with no symmetry assumed: the product of (R^ - c) over the
-    distinct candidates must vanish, which proves R^ diagonalisable with
-    every eigenvalue a candidate.  The multiplicity of c is then the trace
-    of its Lagrange projector prod_{d != c} (R^ - d) / (c - d); candidates
-    of multiplicity zero are dropped.
+    Decided on h x h: R^ B = B A with A = W diag(g) / den, and R^ vanishes
+    on the orthogonal complement of the span of B, so the spectrum of R^ is
+    that of A plus 0 with multiplicity m - h.  Exact, with no symmetry
+    assumed: the product of (R^ - c) over the distinct candidates must
+    vanish, that is, 0 is a candidate when m > h and the product of (A - c)
+    vanishes, which proves R^ diagonalisable with every eigenvalue a
+    candidate.  The multiplicity of c is then the trace of its Lagrange
+    projector prod_{d != c} (A - d) / (c - d), plus m - h for c = 0;
+    candidates of multiplicity zero are dropped.
     """
-    rhat_num, den = op.rhat_matrix()
+    a, den = _scale_columns(op.num, op.norms), op.den
+    rest = op.n * (op.n - 1) // 2 - len(a)
     cands = sorted({Fraction(c) for c in candidates})
-    # A = k R^ is an integer matrix with the integer eigenvalues k c
+    # k A is an integer matrix with the integer eigenvalues k c
     k = den * math.lcm(*(c.denominator for c in cands))
     eig = {c: int(k * c) for c in cands}
-    bound = k * linalg.max_abs(rhat_num) + max(map(abs, eig.values()), default=0)
-    ident = linalg.exact(linalg.eye(len(rhat_num)), bound)
-    shifted = {c: k // den * linalg.exact(rhat_num, bound) - e * ident for c, e in eig.items()}
+    bound = k * linalg.max_abs(a) + max(map(abs, eig.values()), default=0)
+    ident = linalg.exact(linalg.eye(len(a)), bound)
+    shifted = {c: k // den * linalg.exact(a, bound) - e * ident for c, e in eig.items()}
 
     def product(skip=None) -> np.ndarray:
         return reduce(linalg.imatmul, [f for c, f in shifted.items() if c != skip], ident)
 
-    if product().any():
+    if (rest and 0 not in cands) or product().any():
         raise CurvatureError("the product of (R^ - c) over the candidates does not vanish; spectrum incomplete")
     mults = {
         c: sum(np.diagonal(product(skip=c)).tolist()) // math.prod(eig[c] - e for d, e in eig.items() if d != c)
+        + (rest if c == 0 else 0)
         for c in cands
     }
     return [(c, mult) for c, mult in mults.items() if mult]
@@ -295,7 +329,7 @@ def verify_parallel_identities(
     connection have zero diagonal); and the Einstein identity
     Ric = kappa (n/4 + 2r - 4) g.
 
-    A passing family is decided on the image of R^ (``_certified_pass``);
+    A passing family is decided on the span of B (``_certified_pass``);
     every other outcome runs the direct suite, which names the witnesses.
     """
     if op.n != s.n:
@@ -305,11 +339,15 @@ def verify_parallel_identities(
     return _direct_parallel_identities(op, s, kappa)
 
 
+def _times(k: int, a: np.ndarray) -> np.ndarray:
+    """k a, exactly: int64 where the bound allows, Python ints otherwise (a
+    zero ``a`` counts as 1, so that k itself fits)."""
+    return k * linalg.exact(a, abs(k) * max(linalg.max_abs(a), 1))
+
+
 def _scaled_equal(a: np.ndarray, ka: int, b: np.ndarray, kb: int) -> bool:
     """ka a == kb b entrywise (shapes broadcast), exactly."""
-    a = linalg.exact(a, abs(ka) * linalg.max_abs(a))
-    b = linalg.exact(b, abs(kb) * linalg.max_abs(b))
-    return bool((ka * a == kb * b).all())
+    return bool((_times(ka, a) == _times(kb, b)).all())
 
 
 def _certified_pass(op: CurvatureOperator, s: EvenCliffordStructure, kappa: Fraction) -> bool:
@@ -317,49 +355,46 @@ def _certified_pass(op: CurvatureOperator, s: EvenCliffordStructure, kappa: Frac
     with a few batched products and gathers; False also when a step cannot
     be certified.
 
-    It needs the family in column form with every J skew.  With B the
-    columns of ``op.image`` (the identity when None), g the diagonal of
-    B^T B, L = lcm(g) and Q = B diag(1/g) B^T, it certifies Q R^ = R^ and
-    F Q = F for the rows F of the family's coordinates.  Proof that the
-    action identity then holds on all of Lambda^2 once it holds on the
-    columns of B, with no symmetry of R^ assumed: in coordinates both sides
-    depend on omega only through R^T omega (R_omega has coordinates
-    -R^T omega) and through F omega (g(J X_a, X_b) is the (a, b) coordinate
-    of J), both linearly.  Q is symmetric, so R^T = R^T Q and F = F Q give
-    R^T omega = R^T (Q omega) and F omega = F (Q omega): each side takes the
-    same value at omega and at Q omega, which lies in the span of B.
+    It needs the family in column form with every J skew.  With R^ = B W
+    B^T / den, g the norms of the columns of B, L = lcm(g) and Q = B
+    diag(1/g) B^T, it certifies F Q = F for the rows F of the family's
+    coordinates.  Proof that the action identity then holds on all of
+    Lambda^2 once it holds on the columns of B, with no symmetry of R^
+    assumed: in coordinates both sides depend on omega only through R^T
+    omega (R_omega has coordinates -R^T omega) and through F omega (g(J X_a,
+    X_b) is the (a, b) coordinate of J), both linearly.  Q is symmetric and
+    B^T Q = B^T, so R^T = R^T Q by the format and F = F Q give R^T omega =
+    R^T (Q omega) and F omega = F (Q omega): each side takes the same value
+    at omega and at Q omega, which lies in the span of B.  As F^T = Q F^T,
+    the eigenvalue identity R^ F^T = (n kappa / 4) F^T reads diag(g) W
+    (F B)^T = den (n kappa / 4) (F B)^T.
 
     On the columns of B the left side is the gather bracket_coords(J, R^T B)
-    of -[J, R_omega].  The right side sums the 2(r - 2) terms with s not in
-    {i, j} as products of coordinate rows indexed over ``JFamily.ordered``:
-    the J_jj = J_ii = -1 terms contribute -(c_ji + c_ij) 1 = 0, as c_ji =
-    -c_ij.  The family is taken in blocks, so that no temporary outgrows
-    the (m, n, n) stack of the direct suite.
+    of -[J, R_omega], R^T B = B W^T diag(g) / den.  The right side sums the
+    2(r - 2) terms with s not in {i, j} as products of coordinate rows
+    indexed over ``JFamily.ordered``: the J_jj = J_ii = -1 terms contribute
+    -(c_ji + c_ij) 1 = 0, as c_ji = -c_ij.  The family is taken in blocks,
+    so that no temporary outgrows the (m, n, n) stack of the direct suite.
+    Einstein and the Ricci system are checked on the m x m view.
     """
     fam, n, r = s.family, s.n, s.r
     stack = fam.stack
     if stack.form != "columns" or stack.T.differs(-stack).any():
         return False
-    rhat, den = op.rhat_matrix()
-    kd, kn = kappa.denominator, kappa.numerator
+    kd, kn, den = kappa.denominator, kappa.numerator, op.den
     f = linalg.skew_to_coords(stack.matrix())
-    # the image certificate: Q R^ = R^ and F Q = F, with W = B^T R^ and the
-    # coefficients F B
-    if op.image is None:
-        w, fb = rhat, f
+    # W^T diag(g), the columns R^T B over den, and the coefficients F B,
+    # with the certificate F Q = F
+    wg = _scale_columns(op.num.T, op.norms)
+    if op.basis is None:
+        rb, fb = wg, f
     else:
-        basis = op.image
-        norms = np.diagonal(linalg.imatmul(basis.T, basis)).tolist()
-        if 0 in norms:
-            return False
-        scaled, lcm = _weighted(basis, norms)
-        w, fb = linalg.imatmul(basis.T, rhat), linalg.imatmul(f, basis)
-        if not _scaled_equal(linalg.imatmul(scaled, w), 1, rhat, lcm):
-            return False
+        rb, fb = linalg.imatmul(op.basis, wg), linalg.imatmul(f, op.basis)
+        scaled, lcm = _weighted(op.basis, op.norms)
         if not _scaled_equal(linalg.imatmul(fb, scaled.T), 1, f, lcm):
             return False
     # eigenvalue identity, one product
-    if not _scaled_equal(linalg.imatmul(rhat, f.T), 4 * kd, f.T, n * kn * den):
+    if not _scaled_equal(linalg.imatmul(wg.T, fb.T), 4 * kd, fb.T, n * kn * den):
         return False
 
     # the curvature action on the columns of B: the coefficient and target
@@ -375,14 +410,14 @@ def _certified_pass(op: CurvatureOperator, s: EvenCliffordStructure, kappa: Frac
     ).reshape(len(pairs), -1)
     # F and F B along the rows of ``ordered``: J_ij, then -J_ij, then -1
     f_ord, fb_ord = (np.concatenate([x, -x, np.zeros((1, x.shape[1]), dtype=x.dtype)]) for x in (f, fb))
-    for rows in _blocks(len(pairs), n, w.shape[0]):
-        lhs = stack[rows].bracket_coords(w.T)
+    for rows in _blocks(len(pairs), n, rb.shape[1]):
+        lhs = stack[rows].bracket_coords(rb)
         rhs = linalg.imatmul(f_ord[target[rows]].transpose(0, 2, 1), fb_ord[coef[rows]])
         if not _scaled_equal(lhs, kd, rhs, kn * den):
             return False
 
     # Einstein, as the direct suite computes it
-    ric = op.ricci_num()
+    ric, den = op.ricci_num(), op.rhat_matrix()[1]
     if not _scaled_equal(ric, 4 * kd, linalg.eye(n), kn * (n + 8 * r - 16) * den):
         return False
     # Ricci system: Ric = -(kappa / 4) sum_q N[p, q] J_q^2 with N[p, p] = n
@@ -397,28 +432,22 @@ def _certified_pass(op: CurvatureOperator, s: EvenCliffordStructure, kappa: Frac
 def _direct_parallel_identities(
     op: CurvatureOperator, s: EvenCliffordStructure, kappa: Fraction | int
 ) -> VerificationReport:
-    """``verify_parallel_identities`` checked pair by pair, with a witness
-    for every failure."""
+    """``verify_parallel_identities`` checked pair by pair on the m x m view,
+    with a witness for every failure."""
     if op.n != s.n:
         raise CurvatureError("operator and structure dimensions differ")
     kappa = Fraction(kappa)
+    kd, kn = kappa.denominator, kappa.numerator
     n, r = s.n, s.r
     failures: list[Failure] = []
 
     rhat_num, den = op.rhat_matrix()
     for (i, k) in s.pairs():
-        jmat = s.j(i, k)
-        applied = linalg.imatmul(rhat_num, linalg.skew_to_coords(jmat)[:, None])[:, 0]
-        lhs = 4 * kappa.denominator * applied
-        rhs = n * kappa.numerator * den * linalg.skew_to_coords(jmat)
-        if (lhs - rhs).any():
-            failures.append(
-                Failure(
-                    "two_form_eigenvalue",
-                    (i, k),
-                    format_residual(lhs - rhs, 4 * kappa.denominator * den),
-                )
-            )
+        coords = linalg.skew_to_coords(s.j(i, k))
+        applied = linalg.imatmul(rhat_num, coords[:, None])[:, 0]
+        residual = _times(4 * kd, applied) - _times(n * kn * den, coords)
+        if residual.any():
+            failures.append(Failure("two_form_eigenvalue", (i, k), format_residual(residual, 4 * kd * den)))
 
     pairs0 = linalg.pair_basis(n)
     # R_{X_a, X_b} for every pair a < b: the rows of R^, negated
@@ -433,27 +462,15 @@ def _direct_parallel_identities(
         coeffs = linalg.skew_to_coords(np.stack([c for c, _ in terms]))
         targets = np.stack([t for _, t in terms]).reshape(len(terms), -1)
         rhs = linalg.imatmul(coeffs.T, targets).reshape(lhs.shape)
-        residual = kappa.denominator * lhs - kappa.numerator * den * rhs
+        residual = _times(kd, lhs) - _times(kn * den, rhs)
         if residual.any():
             bad = int(np.abs(residual.reshape(len(pairs0), -1)).max(axis=1).argmax())
-            failures.append(
-                Failure(
-                    "curvature_action",
-                    (i, j) + pairs0[bad],
-                    format_residual(residual, kappa.denominator * den),
-                )
-            )
+            failures.append(Failure("curvature_action", (i, j) + pairs0[bad], format_residual(residual, kd * den)))
 
     ric = op.ricci_num()
-    einstein = 4 * kappa.denominator * ric - kappa.numerator * (n + 8 * r - 16) * den * linalg.eye(n)
+    einstein = _times(4 * kd, ric) - _times(kn * (n + 8 * r - 16) * den, linalg.eye(n))
     if einstein.any():
-        failures.append(
-            Failure(
-                "einstein",
-                (),
-                format_residual(einstein, 4 * kappa.denominator * den),
-            )
-        )
+        failures.append(Failure("einstein", (), format_residual(einstein, 4 * kd * den)))
 
     # Ricci system: 0 = Ric + (n/4 - 2) J_ij w_ij + sum_s [J_si w_si + J_sj w_sj]
     # with J_sx^2 = J_xs^2, each square formed once
@@ -463,21 +480,12 @@ def _direct_parallel_identities(
         return squares[(min(x, y), max(x, y))]
 
     for (i, j) in s.pairs():
-        acc = 4 * kappa.denominator * ric.astype(np.int64)
-        acc = acc + (n - 8) * kappa.numerator * den * square(i, j)
-        for sdx in range(1, r + 1):
-            if sdx != i:
-                acc = acc + 4 * kappa.numerator * den * square(sdx, i)
-            if sdx != j:
-                acc = acc + 4 * kappa.numerator * den * square(sdx, j)
+        terms = [(4 * kd, ric), ((n - 8) * kn * den, square(i, j))]
+        terms += [(4 * kn * den, square(x, i)) for x in range(1, r + 1) if x != i]
+        terms += [(4 * kn * den, square(x, j)) for x in range(1, r + 1) if x != j]
+        acc, _ = linalg.rational_combination(terms, n)
         if acc.any():
-            failures.append(
-                Failure(
-                    "ricci_system",
-                    (i, j),
-                    format_residual(acc, 4 * kappa.denominator * den),
-                )
-            )
+            failures.append(Failure("ricci_system", (i, j), format_residual(acc, 4 * kd * den)))
 
     return VerificationReport("parallel_identities", failures)
 

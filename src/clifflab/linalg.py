@@ -130,7 +130,8 @@ def rational_combination(terms, n: int) -> tuple[np.ndarray, int]:
     terms = [(c, m) for c, m in terms]
     den = math.lcm(*(c.denominator for c, _ in terms))
     scaled = [(int(c.numerator) * (den // c.denominator), m) for c, m in terms]
-    bound = sum(abs(k) * max_abs(m) for k, m in scaled)
+    # a zero m counts as 1: the scalar k must fit the dtype too
+    bound = sum(abs(k) * max(max_abs(m), 1) for k, m in scaled)
     acc = exact(zeros(n), bound)
     for k, m in scaled:
         acc += k * exact(m, bound)

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .blades import AlgebraSignature, CliffordElement, volume_element
+from .blades import AlgebraSignature, CliffordElement, blade_product
 
 DEFAULT_MAX_RANK = 16
 # up to r = 23 (n = 2048) building, validate and the relation and
@@ -264,14 +264,13 @@ def build_clifford_rep(r: int, copies: int = 1) -> MatrixRep:
 def _even_volume_factor_sign(r: int) -> int:
     """Sign s with f_1 f_2 ... f_{r-1} = s * e_1 ... e_r, f_i = e_1 e_{i+1}."""
     sig = AlgebraSignature(r)
-    word = CliffordElement.scalar(sig, 1)
+    sign, word = 1, ()
     for i in range(2, r + 1):
-        word = word * CliffordElement.blade(sig, (1, i))
-    vol = volume_element(sig)
-    for sign in (1, -1):
-        if word == vol.scale(sign):
-            return sign
-    raise AssertionError("even volume word is not proportional to the volume blade")
+        step, word = blade_product(word, (1, i), sig)
+        sign *= step
+    if word != tuple(range(1, r + 1)):
+        raise AssertionError("even volume word is not proportional to the volume blade")
+    return sign
 
 
 def build_even_rep(r: int, m_plus: int = 1, m_minus: int | None = None) -> MatrixRep:

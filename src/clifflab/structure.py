@@ -134,20 +134,6 @@ class EvenCliffordStructure:
 
     # -- serialization --------------------------------------------------------
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema": 1,
-                "n": self.n,
-                "r": self.r,
-                "J": [
-                    {"i": i, "j": j, "matrix": self.family.mats[(i, j)].reshape(-1).tolist()}
-                    for (i, j) in self.pairs()
-                ],
-            },
-            indent=2,
-        )
-
     @classmethod
     def from_json(cls, text: str) -> "EvenCliffordStructure":
         """Load a repgen file (any object with a rank, dim, kind or

@@ -94,6 +94,12 @@ def textbook_op(n, c, structures=()):
     return CurvatureOperator(n, c.numerator * gather(t), c.denominator)
 
 
+def same_rhat(op, ref):
+    """Whether two operators have the same pair matrix R^, in lowest terms."""
+    (num, den), (want, want_den) = op.rhat_matrix(), ref.rhat_matrix()
+    return np.array_equal(num, want) and den == want_den
+
+
 EPS = linalg.intmat([[0, -1], [1, 0]])
 
 
@@ -195,14 +201,14 @@ class TestFubiniStudy:
         m = build_model("cp4")
         kahler, _ = volume_endomorphism(m.structure)
         ref = textbook_op(8, 2, [kahler])
-        assert np.array_equal(m.operator.num, ref.num) and m.operator.den == ref.den
+        assert same_rhat(m.operator, ref)
 
 
 class TestQuaternionic:
     def test_hp1_is_constant_curvature(self):
         op = textbook_op(4, 1, quaternion_units(1))
         ref = constant_curvature(4, 4)
-        assert np.array_equal(op.num, ref.num) and op.den == ref.den
+        assert same_rhat(op, ref)
 
     def test_hp2_einstein(self):
         op = build_model("hp2").operator
@@ -226,7 +232,7 @@ class TestQuaternionic:
     def test_hp2_model_is_the_textbook_tensor(self):
         op = build_model("hp2").operator
         ref = textbook_op(8, 1, quaternion_units(2))
-        assert np.array_equal(op.num, ref.num) and op.den == ref.den
+        assert same_rhat(op, ref)
 
 
 class TestIsotropyProjection:
@@ -234,7 +240,7 @@ class TestIsotropyProjection:
         n = 4
         op = isotropy_projection_op([so_basis(n)], [3])
         ref = textbook_op(n, 3)
-        assert np.array_equal(op.num, ref.num) and op.den == ref.den
+        assert same_rhat(op, ref)
 
     def test_sp2_alone_fails_bianchi(self):
         fam = j_family(build_even_rep(5))
@@ -255,7 +261,7 @@ class TestIsotropyProjection:
         sp1 = list(quaternion_units(2))
         op = isotropy_projection_op([sp2, sp1], [4, 8])
         ref = textbook_op(8, 1, quaternion_units(2))
-        assert np.array_equal(op.num, ref.num) and op.den == ref.den
+        assert same_rhat(op, ref)
 
     def test_unequal_norms_give_the_elimination_projection(self):
         # two copies of the Cl0_5 module: the commutant basis has squared
@@ -292,7 +298,7 @@ class TestIsotropyProjection:
     def test_s8_model_is_constant_curvature_4(self):
         op = build_model("s8").operator
         ref = textbook_op(8, 4)
-        assert np.array_equal(op.num, ref.num) and op.den == ref.den
+        assert same_rhat(op, ref)
 
 
 class TestSpectrum:
@@ -310,6 +316,24 @@ class TestSpectrum:
         m = build_model("cp4")
         with pytest.raises(CurvatureError, match="spectrum incomplete$"):
             lambda2_spectrum(m.operator, [0, 4])
+
+    def test_zero_off_the_basis_must_be_a_candidate(self):
+        # cp4 stores R^ on h = 16 of the m = 28 pair directions: the h x h
+        # product vanishes over 4 and 20, and the 12 zeros are not candidates
+        m = build_model("cp4")
+        with pytest.raises(CurvatureError, match="spectrum incomplete$"):
+            lambda2_spectrum(m.operator, [4, 20])
+
+    @pytest.mark.parametrize("name", ["s8", "cp4", "hp2", "op2"])
+    def test_a_built_model_is_decided_on_h(self, name, monkeypatch):
+        m = build_model(name)
+        want = rank_spectrum(m.operator, m.spectrum_candidates)
+
+        def refuse(self):
+            raise AssertionError("the m x m view was formed")
+
+        monkeypatch.setattr(CurvatureOperator, "rhat_matrix", refuse)
+        assert lambda2_spectrum(m.operator, m.spectrum_candidates) == want
 
     @pytest.mark.parametrize(
         "case",
@@ -393,6 +417,30 @@ def refuse_direct_suite(monkeypatch):
     monkeypatch.setattr(curvature, "_direct_parallel_identities", refuse)
 
 
+@pytest.mark.parametrize("kappa", [2**58, 2**61], ids=["2^58", "2^61"])
+def test_a_large_kappa_fails_with_its_exact_residual(kappa):
+    # n kappa den reaches 2^63: R^ = 4 on s8 against the target 2 kappa,
+    # Ric = 28 against 14 kappa, each residual exact
+    m = build_model("s8")
+    report = verify_parallel_identities(m.operator, m.structure, kappa)
+    got = {(f.identity, f.indices): f.residual for f in report.failures}
+    kinds = {f.identity for f in report.failures}
+    assert kinds == {"two_form_eigenvalue", "curvature_action", "einstein", "ricci_system"}
+    assert all(got[("two_form_eigenvalue", p)] == str(2 * kappa - 4) for p in m.structure.pairs())
+    assert got[("einstein", ())] == str(14 * kappa - 28)
+
+
+def test_a_tiny_kappa_on_the_flat_operator_fails_with_its_exact_residual():
+    # 4 kappa.denominator = 2^63 against Ric = 0: R^ = 0 against the target
+    # 2 kappa, Ric = 0 against 14 kappa
+    s = build_model("s8").structure
+    kappa = Fraction(1, 2**61)
+    report = verify_parallel_identities(CurvatureOperator(8, linalg.zeros(28)), s, kappa)
+    got = {(f.identity, f.indices): f.residual for f in report.failures}
+    assert got[("two_form_eigenvalue", (1, 2))] == str(2 * kappa)
+    assert got[("einstein", ())] == str(14 * kappa)
+
+
 class TestCertifiedIdentities:
     @pytest.mark.parametrize("kappa", [2, 1, Fraction(3, 2)])
     @pytest.mark.parametrize("name", ["s8", "cp4", "hp2", "op2"])
@@ -419,23 +467,28 @@ class TestCertifiedIdentities:
     def test_textbook_operators_are_decided_on_all_of_lambda2(self, name, op, monkeypatch):
         s = build_model(name).structure
         op = op(s)
-        assert op.image is None
+        assert op.basis is None
         for kappa in (2, 1):
             assert reports_agree(op, s, kappa)["passed"] == (kappa == 2)
         refuse_direct_suite(monkeypatch)
         assert verify_parallel_identities(op, s, 2).passed
 
-    @pytest.mark.parametrize("name", ["cp4", "hp2"])
-    def test_an_image_without_the_commutant_is_not_certified(self, name):
-        # R^ is nonzero on the commutant, which the cut image leaves out:
-        # Q R^ = R^ fails, and the direct suite decides (and passes)
+    @pytest.mark.parametrize("name", ["s8", "cp4", "hp2"])
+    def test_a_basis_that_misses_a_form_is_not_certified(self, name, monkeypatch):
+        # the model's factors without the column of J_12: R^ vanishes on
+        # J_12, and F Q = F refuses it before Einstein (whose Ricci would
+        # also differ) is reached; the direct suite decides (and fails)
         m = build_model(name)
-        op = m.operator
-        pairs = len(m.structure.pairs())
-        assert op.image.shape[1] > pairs
-        op.image = op.image[:, :pairs]
-        assert not curvature._certified_pass(op, m.structure, Fraction(2))
-        assert reports_agree(op, m.structure, 2)["passed"]
+        op, s = m.operator, m.structure
+        f = linalg.skew_to_coords(s.j(1, 2))
+        (t,) = np.flatnonzero(linalg.imatmul(f[None, :], op.basis)[0])
+        keep = np.arange(op.basis.shape[1]) != t
+        cut = CurvatureOperator(op.n, op.num[np.ix_(keep, keep)], op.den, check=False, basis=op.basis[:, keep])
+        with monkeypatch.context() as patch:
+            patch.setattr(CurvatureOperator, "ricci_num", lambda self: pytest.fail("Einstein was reached"))
+            assert not curvature._certified_pass(cut, s, Fraction(2))
+        report = reports_agree(cut, s, 2)
+        assert ["two_form_eigenvalue", [1, 2]] in [[x["identity"], x["indices"]] for x in report["failures"]]
 
     def test_a_family_that_is_not_skew_takes_the_direct_suite(self):
         m = build_model("s8")
@@ -475,13 +528,28 @@ def e6_plane():
 
 def test_e6_plane(monkeypatch):
     s, op = e6_plane()
-    assert op.image.shape == (496, 46)
+    assert op.basis.shape == (496, 46)
     assert reports_agree(op, s, 2)["passed"]
     assert op.scalar() == 1536  # Table 3
     assert lambda2_spectrum(op, [0, 16, 48]) == [(Fraction(0), 450), (Fraction(16), 45), (Fraction(48), 1)]
     refuse_direct_suite(monkeypatch)
     report = verify_cc_normalization(op, s)
     assert report.passed and report.data["scal"] == "1536"
+
+
+def test_e7_plane(monkeypatch):
+    # E7/Spin(12)Sp(1): the Cl0_12 module (n = 64) with its sp(1)
+    # commutant, at the scales 32 = n/2 and 64; m = 2016, h = 69
+    rep = irreducible_even_rep(12)
+    s = EvenCliffordStructure.from_rep(rep)
+    _, commutant = centralizer_dim(rep.stack)
+    assert len(commutant) == 3
+    op = isotropy_projection_op([[s.family.mats[p] for p in s.pairs()], commutant], [32, 64])
+    assert op.basis.shape == (2016, 69)
+    assert lambda2_spectrum(op, [0, 32, 64]) == [(Fraction(0), 1947), (Fraction(32), 66), (Fraction(64), 3)]
+    refuse_direct_suite(monkeypatch)
+    report = verify_cc_normalization(op, s)
+    assert report.passed and report.data["scal"] == "4608"  # Table 3
 
 
 def rhat_by_loop(t):
@@ -500,10 +568,10 @@ def test_rhat_gather_matches_the_loop(name):
     # every view of the pair matrix against the tensor the oracle scatters:
     # R^ read back entry by entry, Ricci, the curvature matrices, entries
     op = build_model(name).operator
-    n, t = op.n, scatter(op.num, op.n)
     rhat, den = op.rhat_matrix()
+    n, t = op.n, scatter(rhat, op.n)
     want = rhat_by_loop(t)
-    assert rhat.dtype == want.dtype and np.array_equal(rhat, want) and den == op.den
+    assert rhat.dtype == want.dtype and np.array_equal(rhat, want)
     assert np.array_equal(op.ricci_num(), np.einsum("xaay->xy", t))
     for a in range(n):
         for b in range(n):
@@ -525,6 +593,35 @@ class TestPairMatrixFormat:
         assert op.num.dtype == object and op.den == 3
         assert op.scalar() == Fraction(2 * 3 * big, 3)
         assert op.rhat_trace() == op.scalar() / 2
+
+    @pytest.mark.parametrize(
+        "basis, message",
+        [
+            ([[1, 1], [1, 0], [0, 0], [0, 0], [0, 0], [0, 0]], "columns 0 and 1 are not orthogonal"),
+            ([[1, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]], "column 1 is zero"),
+            ([[1, 0], [0, 1], [0, 0], [0, 0], [0, 0]], "does not have m=6 rows"),
+            ([[1, 0], [0, 0.5], [0, 0], [0, 0], [0, 0], [0, 0]], "is not an integer"),
+        ],
+        ids=["not orthogonal", "zero column", "five rows", "a float"],
+    )
+    def test_a_bad_basis_is_refused(self, basis, message):
+        with pytest.raises(CurvatureError, match=message):
+            CurvatureOperator(4, linalg.eye(2), basis=basis)
+
+    def test_a_basis_holds_the_factors(self):
+        # two orthogonal 2-forms of norms 8 and 1 (no curvature tensor, so
+        # unchecked): R^ = B W B^T / den, and the view is in lowest terms
+        basis = np.zeros((6, 2), dtype=np.int64)
+        basis[[0, 5], 0] = 2  # 2 (X_0 ^ X_1 + X_2 ^ X_3)
+        basis[1, 1] = 1  # X_0 ^ X_2
+        op = CurvatureOperator(4, [[1, 0], [0, 2]], 4, check=False, basis=basis)
+        assert op.norms == [8, 1] and op.den == 4
+        rhat, den = op.rhat_matrix()
+        want = np.zeros((6, 6), dtype=np.int64)
+        want[np.ix_([0, 5], [0, 5])] = 2
+        want[1, 1] = 1
+        assert np.array_equal(rhat, want) and den == 2
+        assert lambda2_spectrum(op, [0, 2, Fraction(1, 2)]) == [(Fraction(0), 4), (Fraction(1, 2), 1), (Fraction(2), 1)]
 
     @pytest.mark.parametrize("num", [np.eye(3) / 2, np.eye(3), np.eye(3, dtype=bool)], ids=["halves", "float ones", "bools"])
     def test_a_non_integer_matrix_is_refused(self, num):
