@@ -70,15 +70,13 @@ class CurvatureOperator:
     def __init__(self, n: int, num, den: int = 1, check: bool = True, basis=None):
         m = n * (n - 1) // 2
         self.n = n
-        self.basis, self.norms = None, [1] * m
-        if basis is not None:
-            try:
-                basis = linalg.as_integer(basis)
-            except ValueError as err:
-                raise CurvatureError(f"basis: {err}") from None
-            if basis.ndim != 2 or basis.shape[0] != m:
-                raise CurvatureError(f"basis shape {basis.shape} does not have m={m} rows for n={n}")
-            self.basis, self.norms = basis, _certified_norms(basis)
+        try:
+            self.basis = linalg.as_integer(linalg.eye(m) if basis is None else basis)
+            if self.basis.ndim != 2 or self.basis.shape[0] != m:
+                raise ValueError(f"shape {self.basis.shape} does not have m={m} rows for n={n}")
+            self.norms = linalg.orthogonal_gram(self.basis)
+        except ValueError as err:
+            raise CurvatureError(f"basis: {err}") from None
         num = np.asarray(num)
         h = len(self.norms)
         if num.shape != (h, h):
@@ -127,8 +125,7 @@ class CurvatureOperator:
         """Numerator and denominator of the pair-basis matrix of R^, in lowest
         terms: the m x m view, formed on first use and kept."""
         if self._rhat is None:
-            b = self.basis
-            view = self.num if b is None else linalg.imatmul(linalg.imatmul(b, self.num), b.T)
+            view = linalg.imatmul(linalg.imatmul(self.basis, self.num), self.basis.T)
             self._rhat = linalg.normalize(view, self.den)
         return self._rhat
 
@@ -169,19 +166,18 @@ class CurvatureOperator:
         return Fraction(int(np.trace(num)), den)
 
 
-def _certified_norms(b: np.ndarray) -> list[int]:
-    """The squared norms g of the columns b, certified: b^T b = diag(g),
-    every g > 0; CurvatureError otherwise."""
-    try:
-        return linalg.orthogonal_gram(b)
-    except ValueError as err:
-        raise CurvatureError(f"basis columns are not an orthogonal basis: {err}") from err
+def _scaled(a: np.ndarray, k) -> np.ndarray:
+    """a k, exactly, for k an int or a row of ints (a diag(k) for a matrix
+    a): int64 where the bound allows, Python ints otherwise.  A zero ``a``
+    counts as 1, so that k itself fits."""
+    k = linalg.as_integer(k)
+    bound = max(linalg.max_abs(a), 1) * linalg.max_abs(k)
+    return linalg.exact(a, bound) * linalg.exact(k, bound)
 
 
-def _scale_columns(a: np.ndarray, weights: list[int]) -> np.ndarray:
-    """a diag(weights), exactly; W diag(g) gives R^ B = B W diag(g) / den."""
-    weights = linalg.as_integer(weights)
-    return linalg.exact(a, linalg.max_abs(a) * linalg.max_abs(weights)) * weights
+def _scaled_equal(a: np.ndarray, ka, b: np.ndarray, kb) -> bool:
+    """a ka == b kb entrywise (shapes broadcast), exactly."""
+    return bool((_scaled(a, ka) == _scaled(b, kb)).all())
 
 
 # -- model constructors --------------------------------------------------------
@@ -191,7 +187,7 @@ def _weighted(b: np.ndarray, norms: list[int]) -> tuple[np.ndarray, int]:
     """B diag(L/g) and L = lcm(g) for columns b of nonzero squared norms g:
     the factors of Q = B diag(1/g) B^T = B diag(L/g) B^T / L."""
     lcm = math.lcm(*norms)
-    return _scale_columns(b, [lcm // g for g in norms]), lcm
+    return _scaled(b, [lcm // g for g in norms]), lcm
 
 
 def _blocks(count: int, n: int, h: int) -> list[slice]:
@@ -228,10 +224,13 @@ def isotropy_projection_op(
     mats = [np.stack([np.asarray(g) for g in ideal]) for ideal in ideals]
     stacks = [linalg.OperatorStack.of(x, n) for x in mats]
     coords = [linalg.skew_to_coords(x).T for x in mats]
-    basis = np.concatenate(coords, axis=1)
-    norms = _certified_norms(basis)
-    ends = np.cumsum([0] + [len(x) for x in mats]).tolist()
-    ideal_norms = [norms[lo:hi] for lo, hi in zip(ends, ends[1:])]
+    # W = diag(c_k / g) from the squared column norms g; the constructor
+    # certifies B^T B = diag(g) and refuses a zero column (weighted 0 here)
+    ideal_norms = [(linalg.exact(x, len(x) * linalg.max_abs(x) ** 2) ** 2).sum(axis=0).tolist() for x in coords]
+    weights = [Fraction(scale) / g if g else 0 for scale, gs in zip(scales, ideal_norms) for g in gs]
+    den = math.lcm(*(x.denominator for x in weights))
+    num = np.diag(np.array([x.numerator * (den // x.denominator) for x in weights], dtype=object))
+    op = CurvatureOperator(n, num, den, check=False, basis=np.concatenate(coords, axis=1))
     projections = [_weighted(b, g) for b, g in zip(coords, ideal_norms)]
     # bracket closure, batched per pair of ideals: P C = C for the bracket
     # coordinates C within an ideal, and C = 0 across two
@@ -248,15 +247,10 @@ def isotropy_projection_op(
                 if not np.array_equal(linalg.imatmul(scaled, linalg.imatmul(xb.T, c)), p_den * c):
                     raise CurvatureError("generators are not closed under brackets")
 
-    weights = [Fraction(scale) / g for scale, gs in zip(scales, ideal_norms) for g in gs]
-    den = math.lcm(*(x.denominator for x in weights))
-    num = np.diag(np.array([x.numerator * (den // x.denominator) for x in weights], dtype=object))
-    try:
-        return CurvatureOperator(n, num, den, basis=basis)
-    except CurvatureError as err:
-        raise CalibrationError(
-            f"the given scales do not define a curvature tensor: {err}"
-        ) from err
+    problems = op.symmetry_violations()
+    if problems:
+        raise CalibrationError(f"the given scales do not define a curvature tensor: {'; '.join(problems)}")
+    return op
 
 
 # -- spectra ---------------------------------------------------------------------
@@ -277,7 +271,7 @@ def lambda2_spectrum(
     projector prod_{d != c} (A - d) / (c - d), plus m - h for c = 0;
     candidates of multiplicity zero are dropped.
     """
-    a, den = _scale_columns(op.num, op.norms), op.den
+    a, den = _scaled(op.num, op.norms), op.den
     rest = op.n * (op.n - 1) // 2 - len(a)
     cands = sorted({Fraction(c) for c in candidates})
     # k A is an integer matrix with the integer eigenvalues k c
@@ -339,17 +333,6 @@ def verify_parallel_identities(
     return _direct_parallel_identities(op, s, kappa)
 
 
-def _times(k: int, a: np.ndarray) -> np.ndarray:
-    """k a, exactly: int64 where the bound allows, Python ints otherwise (a
-    zero ``a`` counts as 1, so that k itself fits)."""
-    return k * linalg.exact(a, abs(k) * max(linalg.max_abs(a), 1))
-
-
-def _scaled_equal(a: np.ndarray, ka: int, b: np.ndarray, kb: int) -> bool:
-    """ka a == kb b entrywise (shapes broadcast), exactly."""
-    return bool((_times(ka, a) == _times(kb, b)).all())
-
-
 def _certified_pass(op: CurvatureOperator, s: EvenCliffordStructure, kappa: Fraction) -> bool:
     """Whether every identity of ``verify_parallel_identities`` holds, decided
     with a few batched products and gathers; False also when a step cannot
@@ -385,14 +368,11 @@ def _certified_pass(op: CurvatureOperator, s: EvenCliffordStructure, kappa: Frac
     f = linalg.skew_to_coords(stack.matrix())
     # W^T diag(g), the columns R^T B over den, and the coefficients F B,
     # with the certificate F Q = F
-    wg = _scale_columns(op.num.T, op.norms)
-    if op.basis is None:
-        rb, fb = wg, f
-    else:
-        rb, fb = linalg.imatmul(op.basis, wg), linalg.imatmul(f, op.basis)
-        scaled, lcm = _weighted(op.basis, op.norms)
-        if not _scaled_equal(linalg.imatmul(fb, scaled.T), 1, f, lcm):
-            return False
+    wg = _scaled(op.num.T, op.norms)
+    rb, fb = linalg.imatmul(op.basis, wg), linalg.imatmul(f, op.basis)
+    scaled, lcm = _weighted(op.basis, op.norms)
+    if not _scaled_equal(linalg.imatmul(fb, scaled.T), 1, f, lcm):
+        return False
     # eigenvalue identity, one product
     if not _scaled_equal(linalg.imatmul(wg.T, fb.T), 4 * kd, fb.T, n * kn * den):
         return False
@@ -445,7 +425,7 @@ def _direct_parallel_identities(
     for (i, k) in s.pairs():
         coords = linalg.skew_to_coords(s.j(i, k))
         applied = linalg.imatmul(rhat_num, coords[:, None])[:, 0]
-        residual = _times(4 * kd, applied) - _times(n * kn * den, coords)
+        residual = _scaled(applied, 4 * kd) - _scaled(coords, n * kn * den)
         if residual.any():
             failures.append(Failure("two_form_eigenvalue", (i, k), format_residual(residual, 4 * kd * den)))
 
@@ -462,13 +442,13 @@ def _direct_parallel_identities(
         coeffs = linalg.skew_to_coords(np.stack([c for c, _ in terms]))
         targets = np.stack([t for _, t in terms]).reshape(len(terms), -1)
         rhs = linalg.imatmul(coeffs.T, targets).reshape(lhs.shape)
-        residual = _times(kd, lhs) - _times(kn * den, rhs)
+        residual = _scaled(lhs, kd) - _scaled(rhs, kn * den)
         if residual.any():
             bad = int(np.abs(residual.reshape(len(pairs0), -1)).max(axis=1).argmax())
             failures.append(Failure("curvature_action", (i, j) + pairs0[bad], format_residual(residual, kd * den)))
 
     ric = op.ricci_num()
-    einstein = _times(4 * kd, ric) - _times(kn * (n + 8 * r - 16) * den, linalg.eye(n))
+    einstein = _scaled(ric, 4 * kd) - _scaled(linalg.eye(n), kn * (n + 8 * r - 16) * den)
     if einstein.any():
         failures.append(Failure("einstein", (), format_residual(einstein, 4 * kd * den)))
 

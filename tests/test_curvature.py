@@ -467,7 +467,7 @@ class TestCertifiedIdentities:
     def test_textbook_operators_are_decided_on_all_of_lambda2(self, name, op, monkeypatch):
         s = build_model(name).structure
         op = op(s)
-        assert op.basis is None
+        assert np.array_equal(op.basis, linalg.eye(28)) and op.norms == [1] * 28
         for kappa in (2, 1):
             assert reports_agree(op, s, kappa)["passed"] == (kappa == 2)
         refuse_direct_suite(monkeypatch)
