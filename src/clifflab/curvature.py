@@ -111,8 +111,7 @@ class CurvatureOperator:
             return ["pair symmetry fails"]
         num, den = self.rhat_matrix()
         r = linalg.exact(num, 3 * linalg.max_abs(num))
-        idx, _ = linalg.pair_index(self.n)
-        a, b = np.triu_indices(self.n, 1)
+        a, b, idx, _ = linalg.pair_table(self.n)
         # the pairs p = (a, b) and q = (c, d) with b < c
         p, q = np.nonzero(b[:, None] < a[None, :])
         a, b, c, d = a[p], b[p], a[q], b[q]
@@ -192,8 +191,13 @@ def _weighted(b: np.ndarray, norms: list[int]) -> tuple[np.ndarray, int]:
 
 def _blocks(count: int, n: int, h: int) -> list[slice]:
     """Slices of a batch of ``count`` operators whose bracket coordinates
-    against h columns, (block, m, h), stay within an (m, n, n) stack."""
-    block = max(1, n * n // h)
+    against h columns, (block, m, h), stay within max(m n^2, 2^14) entries:
+    an (m, n, n) stack, or 2^14 entries (128 KB of int64) up to n = 13,
+    where that stack is smaller.  The floor keeps a small model in one or a
+    few blocks: at n = 8 the stack bound alone allows blocks of two
+    operators, whose per-block calls cost more than their arithmetic."""
+    m = n * (n - 1) // 2
+    block = max(1, max(m * n * n, 2**14) // (m * h))
     return [slice(lo, lo + block) for lo in range(0, count, block)]
 
 
@@ -568,8 +572,9 @@ class ModelSpace:
 
 
 def cc_scal(n: int, r: int) -> Fraction:
-    """Scalar curvature forced by the curvature constancy normalisation."""
-    return 2 * n * (Fraction(n, 4) + 2 * r - 4)
+    """Scalar curvature forced by the curvature constancy normalisation:
+    2n(n/4 + 2r - 4) = n(n + 8r - 16) / 2."""
+    return Fraction(n * (n + 8 * r - 16), 2)
 
 
 def cc_ricci(n: int, r: int) -> Fraction:

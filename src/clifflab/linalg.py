@@ -18,6 +18,10 @@ when it is built, whether it keeps them as signed-permutation column forms
 or as dense exact arrays, and every operation means the same on both, so
 no caller asks which form a stack has.
 
+The pair basis of 2-forms has one index table per n (``pair_table``): the
+pairs a < b in row order, the row of each pair and its sign.  It is built
+once per n, cached, and read-only, so every caller shares the same arrays.
+
 Every matrix the library inverts has orthogonal columns, certified by
 ``orthogonal_gram``, so no library path eliminates.  ``rref``, ``rank``,
 ``nullspace`` (a primitive integer basis) and ``inverse`` are the reference
@@ -27,6 +31,7 @@ Comp. 22) in Python ints, with the reduced echelon form as ``(num, den)``.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 
@@ -337,9 +342,8 @@ class OperatorStack:
         """
         n, count = self.n, len(self)
         v = np.asarray(v)
-        a, b = np.triu_indices(n, 1)
+        a, b, idx, sgn = pair_table(n)
         if self._dense is None and not self.T.differs(-self).any():
-            idx, sgn = pair_index(n)
             p, s = self._perm, self._sign
             v = exact(v, 2 * max_abs(v))
             near, far = idx[a, p[:, b]], idx[b, p[:, a]]
@@ -503,28 +507,39 @@ def pair_basis(n: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(n) for b in range(a + 1, n)]
 
 
-def pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """idx[a,b], the row of the pair {a, b} in the pair basis (0 on the
-    diagonal), and sgn[a,b]: +1 for a < b, -1 for a > b, 0 for a = b, so that
-    X_a ^ X_b = sgn[a,b] times the basis element of row idx[a,b]."""
+@functools.cache
+def pair_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The index tables of the pair basis of R^n, (a, b, idx, sgn): the pairs
+    a < b in row order, as np.triu_indices(n, 1) lists them; idx[a,b], the
+    row of the pair {a, b} (0 on the diagonal); and sgn[a,b], +1 for a < b,
+    -1 for a > b and 0 for a = b, so that X_a ^ X_b = sgn[a,b] times the
+    basis element of row idx[a,b].  Built once per n and shared by every
+    caller, so every array is read-only: writing into one raises ValueError."""
+    a, b = np.triu_indices(n, 1)
     sgn = -np.sign(np.subtract.outer(np.arange(n), np.arange(n)))
-    # the pairs a < b in row order, as np.triu_indices(n, 1) lists them
-    a, b = np.nonzero(sgn > 0)
     idx = np.zeros((n, n), dtype=np.intp)
     idx[a, b] = idx[b, a] = np.arange(len(a))
-    return idx, sgn
+    for x in (a, b, idx, sgn):
+        x.flags.writeable = False
+    return a, b, idx, sgn
+
+
+def pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """idx and sgn of ``pair_table(n)``: the row of the pair {a, b} and the
+    sign of X_a ^ X_b against it, cached per n and read-only."""
+    return pair_table(n)[2:]
 
 
 def skew_to_coords(m: np.ndarray) -> np.ndarray:
     """Pair coordinates of a skew matrix, or of each matrix in a stack."""
-    a, b = np.triu_indices(m.shape[-1], 1)
+    a, b, _, _ = pair_table(m.shape[-1])
     return m[..., b, a]
 
 
 def coords_to_skew(v, n: int) -> np.ndarray:
     """The skew matrix with pair coordinates v, or one for each row of a stack."""
     v = np.asarray(v)
-    a, b = np.triu_indices(n, 1)
+    a, b, _, _ = pair_table(n)
     out = np.zeros(v.shape[:-1] + (n, n), dtype=v.dtype)
     out[..., b, a] = v
     out[..., a, b] = -v

@@ -486,7 +486,7 @@ def triality_map() -> TrialityCertificate:
     # phi([J/2, J'/2]) = phi([J, J'])/4 must be the bracket of the rotations.
     spin = np.stack([plus[p] for p in pairs])
     rotations = np.stack([linalg.elementary_rotation(i - 1, j - 1, 8) for (i, j) in pairs])
-    upper = np.triu_indices(len(pairs), 1)
+    upper = linalg.pair_table(len(pairs))[:2]
 
     def bracket_coords(stack: np.ndarray) -> np.ndarray:
         return linalg.skew_to_coords(linalg.commutator(stack[:, None], stack[None, :])[upper]).T

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,13 @@ class TestScalFormula:
             assert scal_formula(8 * k, 8) == 32 * k * (k + 6)
         for q in range(1, 33):
             assert scal_formula(4 * q, 3) == 8 * q * (q + 2)
+
+    def test_an_int_exactly_when_integral(self):
+        for n in range(1, 257):
+            for r in range(2, 33):
+                value = scal_formula(n, r)
+                assert (type(value) is int) == (n * (n + 8 * r - 16) % 2 == 0)
+                assert value == Fraction(n * (n + 8 * r - 16), 2)
 
 
 class TestCheckConditions:

@@ -843,3 +843,28 @@ class TestModelBookkeeping:
     def test_unknown_model(self):
         with pytest.raises(CurvatureError):
             build_model("cp2")
+
+    def test_cc_scal_is_the_closed_form(self):
+        for n in range(1, 257):
+            for r in range(2, 33):
+                assert cc_scal(n, r) == 2 * n * (Fraction(n, 4) + 2 * r - 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 300), st.integers(2, 128), st.integers(1, 400))
+def test_blocks_cover_the_batch_once_and_as_large_as_the_bound(count, n, h):
+    m = n * (n - 1) // 2
+    limit = max(1, max(m * n * n, 2**14) // (m * h))
+    blocks = [range(count)[rows] for rows in curvature._blocks(count, n, h)]
+    assert [t for rows in blocks for t in rows] == list(range(count))
+    assert all(len(rows) <= limit for rows in blocks)
+    # only the last block may be short
+    assert all(len(rows) == limit for rows in blocks[:-1])
+
+
+def test_the_n8_models_are_not_cut_into_blocks_of_two():
+    # s8: 28 forms against 28 columns, where the (m, n, n) bound alone,
+    # n^2 / h operators, gives blocks of 2
+    assert [len(range(28)[rows]) for rows in curvature._blocks(28, 8, 28)] == [20, 8]
+    # from n = 16 on the (m, n, n) bound is the larger one
+    assert [len(range(36)[rows]) for rows in curvature._blocks(36, 16, 36)] == [7] * 5 + [1]

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -447,3 +448,34 @@ def test_bracket_coords_stays_exact_past_int64():
     got = linalg.OperatorStack.of([a], 4).bracket_coords(v)
     assert got.dtype == object
     assert got.tolist() == _bracket_oracle([a], v.astype(object), 4).tolist()
+
+
+def test_pair_table_is_built_once_per_n_and_read_only():
+    table = linalg.pair_table(6)
+    assert all(x is y for x, y in zip(linalg.pair_table(6), table))
+    assert all(x is y for x, y in zip(linalg.pair_index(6), table[2:]))
+    a, b = np.triu_indices(6, 1)
+    assert np.array_equal(table[0], a) and np.array_equal(table[1], b)
+    idx, sgn = table[2:]
+    assert np.array_equal(idx[a, b], np.arange(15)) and np.array_equal(idx[b, a], np.arange(15))
+    assert np.array_equal(sgn, -np.sign(np.subtract.outer(np.arange(6), np.arange(6))))
+    for x in table:
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 1
+
+
+def test_verify_all_builds_one_pair_triangle_per_n(monkeypatch, capsys):
+    from clifflab import cli
+
+    built = Counter()
+    triu_indices = np.triu_indices
+
+    def counting(n, k=0, m=None):
+        built[n] += 1
+        return triu_indices(n, k, m)
+
+    monkeypatch.setattr(np, "triu_indices", counting)
+    linalg.pair_table.cache_clear()
+    assert cli.main(["verify-all"]) == 0
+    capsys.readouterr()
+    assert built and max(built.values()) == 1, dict(built)
