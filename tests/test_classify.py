@@ -50,7 +50,7 @@ class TestScalFormula:
             for r in range(2, 33):
                 value = scal_formula(n, r)
                 assert (type(value) is int) == (n * (n + 8 * r - 16) % 2 == 0)
-                assert value == Fraction(n * (n + 8 * r - 16), 2)
+                assert value == 2 * n * (Fraction(n, 4) + 2 * r - 4)
 
 
 class TestCheckConditions:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clifflab import linalg
+from clifflab import cli, linalg
 
 
 # -- Fraction Gaussian elimination: the oracle for the integer routines -----
@@ -465,8 +465,6 @@ def test_pair_table_is_built_once_per_n_and_read_only():
 
 
 def test_verify_all_builds_one_pair_triangle_per_n(monkeypatch, capsys):
-    from clifflab import cli
-
     built = Counter()
     triu_indices = np.triu_indices
 
