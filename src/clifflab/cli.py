@@ -276,7 +276,7 @@ def _curvature_models() -> VerificationReport:
         cc = curvature.verify_cc_normalization(model.operator, model.structure)
         failures += _within(name, cc)
         # build_model certified pair symmetry and Bianchi (CalibrationError otherwise)
-        detail = {"scal": str(model.operator.scalar()), "cc_passed": cc.passed, "bianchi": True}
+        detail = {"scal": cc.data["scal"], "cc_passed": cc.passed, "bianchi": True}
         spectrum = curvature.verify_spectrum(model.operator, model.spectrum_candidates)
         failures += _within(name, spectrum)
         eigenvalues = spectrum.data.get("eigenvalues", [])

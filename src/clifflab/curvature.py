@@ -30,11 +30,12 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .reps import irreducible_even_rep
+from .reps import JFamily, irreducible_even_rep
 from .structure import (
     EvenCliffordStructure,
     Failure,
     VerificationReport,
+    _generators_certified,
     format_residual,
     verify_orthogonality,
 )
@@ -202,15 +203,24 @@ def _blocks(count: int, n: int, h: int) -> list[slice]:
 
 
 def isotropy_projection_op(
-    ideals: Sequence[Sequence[np.ndarray]], scales: Sequence[Fraction | int]
+    ideals: Sequence[Sequence[np.ndarray] | JFamily], scales: Sequence[Fraction | int]
 ) -> CurvatureOperator:
     """Curvature operator c_1 P_1 + c_2 P_2 + ... for ideals of a subalgebra.
 
-    Each ideal is given by a basis of nonzero skew matrices, and all the
+    Each ideal is given by a basis of nonzero skew matrices, or as a
+    ``JFamily``, whose J_ij in ``pairs()`` order are the basis; all the
     bases together must be pairwise trace-orthogonal (CurvatureError
-    otherwise; the norms may differ); P projects the space of 2-forms
+    otherwise; the norms may differ).  P projects the space of 2-forms
     orthogonally (trace pairing) onto the span of its ideal.  Bracket
-    closure of each ideal and vanishing of cross brackets are checked.  The
+    closure of each ideal and vanishing of cross brackets are checked, each
+    pair of distinct ideals in one order, as [X, Y] = -[Y, X].  A family
+    that passes the generator certificate (``structure._generators_certified``)
+    is the image of Cl0_r under an algebra morphism, so span{J_ij}, the
+    image of so(r), is closed and none of its own brackets is gathered; a
+    matrix that commutes with its r - 1 generators J_1j commutes with every
+    J_ij = J_1i J_1j, so its brackets with the other ideals are taken on the
+    generators alone.  Matrices, or a family that fails the certificate,
+    take the full check.  An empty ideal raises CurvatureError.  The
     operator is stored as its factors: B the concatenated coordinate
     columns of the bases, g their squared norms and W = diag(c_k / g), so
     R^ = B W B^T = sum_k c_k P_k.  The first Bianchi identity is checked
@@ -218,37 +228,57 @@ def isotropy_projection_op(
     """
     if len(ideals) != len(scales):
         raise CurvatureError("one scale per ideal")
-    if not ideals or not ideals[0]:
-        raise CurvatureError("need at least one nonempty ideal")
-    n = np.asarray(ideals[0][0]).shape[0]
+    if not len(ideals):
+        raise CurvatureError("need at least one ideal")
+    # each ideal as its stack, the rows bracketed with the other ideals,
+    # and whether its span is known to be closed
+    parts = []
     for ideal in ideals:
-        for g in ideal:
-            if not linalg.is_skew(np.asarray(g)):
+        if isinstance(ideal, JFamily):
+            stack, closed = ideal.stack, _generators_certified(ideal)
+            if not closed and stack.T.differs(-stack).any():
                 raise CurvatureError("ideal generators must be skew")
-    mats = [np.stack([np.asarray(g) for g in ideal]) for ideal in ideals]
-    stacks = [linalg.OperatorStack.of(x, n) for x in mats]
-    coords = [linalg.skew_to_coords(x).T for x in mats]
-    # W = diag(c_k / g) from the squared column norms g; the constructor
-    # certifies B^T B = diag(g) and refuses a zero column (weighted 0 here)
+        else:
+            mats = [np.asarray(g) for g in ideal]
+            n = mats[0].shape[0] if mats else 0
+            if not all(g.shape == (n, n) and linalg.is_skew(g) for g in mats):
+                raise CurvatureError("ideal generators must be skew")
+            stack, closed = linalg.OperatorStack.of(mats, n), False
+        if not len(stack):
+            raise CurvatureError("every ideal needs a nonempty basis")
+        rows = [t for t, (i, _) in enumerate(ideal.pairs()) if i == 1] if closed else slice(None)
+        parts.append((stack, rows, closed))
+    n = parts[0][0].n
+    if any(stack.n != n for stack, _, _ in parts):
+        raise CurvatureError("the ideals act on spaces of different dimensions")
+    coords = [linalg.skew_to_coords(stack.matrix()).T for stack, _, _ in parts]
+    # W = diag(c_k / g) from the squared column norms g, int64 where it
+    # fits; the constructor certifies B^T B = diag(g) and refuses a zero
+    # column (weighted 0 here)
     ideal_norms = [(linalg.exact(x, len(x) * linalg.max_abs(x) ** 2) ** 2).sum(axis=0).tolist() for x in coords]
     weights = [Fraction(scale) / g if g else 0 for scale, gs in zip(scales, ideal_norms) for g in gs]
     den = math.lcm(*(x.denominator for x in weights))
-    num = np.diag(np.array([x.numerator * (den // x.denominator) for x in weights], dtype=object))
+    diag = np.array([x.numerator * (den // x.denominator) for x in weights], dtype=object)
+    num = np.diag(linalg.exact(diag, linalg.max_abs(diag)))
     op = CurvatureOperator(n, num, den, check=False, basis=np.concatenate(coords, axis=1))
-    projections = [_weighted(b, g) for b, g in zip(coords, ideal_norms)]
     # bracket closure, batched per pair of ideals: P C = C for the bracket
-    # coordinates C within an ideal, and C = 0 across two
-    for a_i, xa in enumerate(stacks):
-        for b_i, xb in enumerate(coords):
-            for rows in _blocks(len(xa), n, xb.shape[1]):
-                brackets = xa[rows].bracket_coords(xb)
-                if a_i != b_i:
+    # coordinates C within an ideal not known to be closed, and C = 0
+    # across two, on the rows each is bracketed on
+    for a, (stack, rows_a, closed) in enumerate(parts):
+        for b in range(a + closed, len(parts)):
+            if a == b:
+                xs, v = stack, coords[a]
+                scaled, p_den = _weighted(v, ideal_norms[a])
+            else:
+                xs, v = stack[rows_a], coords[b][:, parts[b][1]]
+            for rows in _blocks(len(xs), n, v.shape[1]):
+                brackets = xs[rows].bracket_coords(v)
+                if a != b:
                     if brackets.any():
                         raise CurvatureError("ideals do not commute; not a direct sum")
                     continue
-                scaled, p_den = projections[a_i]
-                c = brackets.transpose(1, 0, 2).reshape(len(xb), -1)
-                if not np.array_equal(linalg.imatmul(scaled, linalg.imatmul(xb.T, c)), p_den * c):
+                c = brackets.transpose(1, 0, 2).reshape(len(v), -1)
+                if not np.array_equal(linalg.imatmul(scaled, linalg.imatmul(v.T, c)), p_den * c):
                     raise CurvatureError("generators are not closed under brackets")
 
     problems = op.symmetry_violations()
@@ -342,34 +372,46 @@ def _certified_pass(op: CurvatureOperator, s: EvenCliffordStructure, kappa: Frac
     with a few batched products and gathers; False also when a step cannot
     be certified.
 
-    It needs the family in column form with every J skew.  With R^ = B W
-    B^T / den, g the norms of the columns of B, L = lcm(g) and Q = B
-    diag(1/g) B^T, it certifies F Q = F for the rows F of the family's
-    coordinates.  Proof that the action identity then holds on all of
-    Lambda^2 once it holds on the columns of B, with no symmetry of R^
-    assumed: in coordinates both sides depend on omega only through R^T
-    omega (R_omega has coordinates -R^T omega) and through F omega (g(J X_a,
-    X_b) is the (a, b) coordinate of J), both linearly.  Q is symmetric and
-    B^T Q = B^T, so R^T = R^T Q by the format and F = F Q give R^T omega =
-    R^T (Q omega) and F omega = F (Q omega): each side takes the same value
-    at omega and at Q omega, which lies in the span of B.  As F^T = Q F^T,
-    the eigenvalue identity R^ F^T = (n kappa / 4) F^T reads diag(g) W
-    (F B)^T = den (n kappa / 4) (F B)^T.
+    It needs the generator certificate (``structure._generators_certified``):
+    the J_ij are then phi(e_i e_j) for an algebra morphism phi of Cl0_r,
+    each skew with square -1.  With R^ = B W B^T / den, g the norms of the
+    columns of B, L = lcm(g) and Q = B diag(1/g) B^T, it certifies F Q = F
+    for the rows F of the family's coordinates.  Proof that the action
+    identity then holds on all of Lambda^2 once it holds on the columns of
+    B, with no symmetry of R^ assumed: in coordinates both sides depend on
+    omega only through R^T omega (R_omega has coordinates -R^T omega) and
+    through F omega (g(J X_a, X_b) is the (a, b) coordinate of J), both
+    linearly.  Q is symmetric and B^T Q = B^T, so R^T = R^T Q by the format
+    and F = F Q give R^T omega = R^T (Q omega) and F omega = F (Q omega):
+    each side takes the same value at omega and at Q omega, which lies in
+    the span of B.  As F^T = Q F^T, the eigenvalue identity R^ F^T =
+    (n kappa / 4) F^T reads diag(g) W (F B)^T = den (n kappa / 4) (F B)^T.
+
+    The action identity is checked at the r - 1 pairs (1, j) only.  Proof
+    that it then holds at every (i, j): fix omega, let c_st(omega) be the
+    coordinate pairing of J_st with omega and A = kappa c(omega), which
+    lies in so(r).  L(X) = [R_omega, X] is a derivation of End(R^n), and
+    the right side at (i, j) is phi(D_A(e_i e_j)), D_A the derivation of
+    Cl0_r that A induces, D_A(e_i e_j) = (A e_i) e_j + e_i (A e_j).  By the
+    Leibniz rule on both sides, {x : L(phi x) = phi(D_A x)} is a subalgebra
+    of Cl0_r; the e_1 e_j generate Cl0_r, so the identity at each J_1j
+    gives it at every J_ij.
 
     On the columns of B the left side is the gather bracket_coords(J, R^T B)
     of -[J, R_omega], R^T B = B W^T diag(g) / den.  The right side sums the
     2(r - 2) terms with s not in {i, j} as products of coordinate rows
     indexed over ``JFamily.ordered``: the J_jj = J_ii = -1 terms contribute
-    -(c_ji + c_ij) 1 = 0, as c_ji = -c_ij.  The family is taken in blocks,
+    -(c_ji + c_ij) 1 = 0, as c_ji = -c_ij.  The pairs are taken in blocks,
     so that no temporary outgrows the (m, n, n) stack of the direct suite.
-    Einstein and the Ricci system are checked on the m x m view.
+    Einstein is checked on the m x m view.  The Ricci system needs no check
+    of its own: with every J_q^2 = -1 each of its rows is the Einstein
+    identity.
     """
     fam, n, r = s.family, s.n, s.r
-    stack = fam.stack
-    if stack.form != "columns" or stack.T.differs(-stack).any():
+    if not _generators_certified(fam):
         return False
     kd, kn, den = kappa.denominator, kappa.numerator, op.den
-    f = linalg.skew_to_coords(stack.matrix())
+    f = linalg.skew_to_coords(fam.stack.matrix())
     # W^T diag(g), the columns R^T B over den, and the coefficients F B,
     # with the certificate F Q = F
     wg = _scaled(op.num.T, op.norms)
@@ -381,10 +423,10 @@ def _certified_pass(op: CurvatureOperator, s: EvenCliffordStructure, kappa: Frac
     if not _scaled_equal(linalg.imatmul(wg.T, fb.T), 4 * kd, fb.T, n * kn * den):
         return False
 
-    # the curvature action on the columns of B: the coefficient and target
-    # rows of the 2(r - 2) surviving terms of each pair (i, j)
-    row = fam.ordered[1]
-    pairs = s.pairs()
+    # the curvature action on the columns of B at the pairs (1, j): the
+    # coefficient and target rows of the 2(r - 2) surviving terms of each
+    ordered, row = fam.ordered
+    pairs = [(1, j) for j in range(2, r + 1)]
     others = [[x for x in range(1, r + 1) if x not in p] for p in pairs]
     coef = np.array(
         [[row[(x, i)] for x in o] + [row[(x, j)] for x in o] for (i, j), o in zip(pairs, others)], dtype=np.intp
@@ -394,23 +436,16 @@ def _certified_pass(op: CurvatureOperator, s: EvenCliffordStructure, kappa: Frac
     ).reshape(len(pairs), -1)
     # F and F B along the rows of ``ordered``: J_ij, then -J_ij, then -1
     f_ord, fb_ord = (np.concatenate([x, -x, np.zeros((1, x.shape[1]), dtype=x.dtype)]) for x in (f, fb))
+    gens = ordered[[row[p] for p in pairs]]
     for rows in _blocks(len(pairs), n, rb.shape[1]):
-        lhs = stack[rows].bracket_coords(rb)
+        lhs = gens[rows].bracket_coords(rb)
         rhs = linalg.imatmul(f_ord[target[rows]].transpose(0, 2, 1), fb_ord[coef[rows]])
         if not _scaled_equal(lhs, kd, rhs, kn * den):
             return False
 
     # Einstein, as the direct suite computes it
     ric, den = op.ricci_num(), op.rhat_matrix()[1]
-    if not _scaled_equal(ric, 4 * kd, linalg.eye(n), kn * (n + 8 * r - 16) * den):
-        return False
-    # Ricci system: Ric = -(kappa / 4) sum_q N[p, q] J_q^2 with N[p, p] = n
-    # and N = 4 at the pairs {x, i} and {x, j}, x not in {i, j}; row % P is
-    # the pair of both J_xy and J_yx
-    squares = (stack @ stack).matrix().reshape(len(pairs), -1)
-    incidence = n * linalg.eye(len(pairs))
-    np.add.at(incidence, (np.arange(len(pairs))[:, None], coef % len(pairs)), 4)
-    return _scaled_equal(linalg.imatmul(incidence, squares), kn * den, ric.reshape(1, -1), -4 * kd)
+    return _scaled_equal(ric, 4 * kd, linalg.eye(n), kn * (n + 8 * r - 16) * den)
 
 
 def _direct_parallel_identities(
@@ -600,12 +635,11 @@ def build_model(name: str) -> ModelSpace:
     rep = irreducible_even_rep(r)
     s = EvenCliffordStructure.from_rep(rep)
     n = s.n
-    family = [s.family.mats[p] for p in s.pairs()]
     _, commutant = centralizer_dim(rep.stack)
     c_j = Fraction(n, 2)
-    ideals, scales = [family], [c_j]
+    ideals, scales = [s.family], [c_j]
     if commutant:
         ideals.append(commutant)
-        scales.append((cc_scal(n, r) / 2 - c_j * len(family)) / len(commutant))
+        scales.append((cc_scal(n, r) / 2 - c_j * len(s.pairs())) / len(commutant))
     op = isotropy_projection_op(ideals, scales)
     return ModelSpace(name, n, r, s, op, c_j, cc_ricci(n, r), cc_scal(n, r), sorted({Fraction(0), *scales}))

@@ -22,7 +22,7 @@ from clifflab.curvature import (
     verify_cc_normalization,
     verify_parallel_identities,
 )
-from clifflab.reps import build_even_rep, irreducible_even_rep, j_family, quaternion_units
+from clifflab.reps import JFamily, build_even_rep, irreducible_even_rep, j_family, quaternion_units
 from clifflab.structure import EvenCliffordStructure, Failure, verify_orthogonality, volume_endomorphism
 
 
@@ -139,6 +139,35 @@ def model_ideals(name):
     """The family span and the commutant that build_model projects onto."""
     s = build_model(name).structure
     return [s.family.mats[p] for p in s.pairs()], centralizer_dim(s.rep.stack)[1]
+
+
+def family_inputs(name):
+    """The structure, commutant and scales that build_model projects with,
+    or those of the E6 plane for "e6"."""
+    if name == "e6":
+        rep = irreducible_even_rep(10)
+        s = EvenCliffordStructure.from_rep(rep)
+        return s, centralizer_dim(rep.stack)[1], [16, 48]
+    m = build_model(name)
+    s = m.structure
+    commutant = centralizer_dim(s.rep.stack)[1]
+    if not commutant:
+        return s, commutant, [m.scale]
+    return s, commutant, [m.scale, (m.expected_scal / 2 - m.scale * len(s.pairs())) / len(commutant)]
+
+
+def record_brackets(monkeypatch):
+    """Every call of OperatorStack.bracket_coords, as (batch length, number
+    of columns), in a list that fills as they come."""
+    calls = []
+    gather = linalg.OperatorStack.bracket_coords
+
+    def record(self, v):
+        calls.append((len(self), np.shape(v)[1]))
+        return gather(self, v)
+
+    monkeypatch.setattr(linalg.OperatorStack, "bracket_coords", record)
+    return calls
 
 
 class TestConstantCurvature:
@@ -294,6 +323,81 @@ class TestIsotropyProjection:
         ideal = [extra[p] if isinstance(p, str) else fam.mats[p] for p in pairs]
         with pytest.raises(CurvatureError, match=message):
             isotropy_projection_op([ideal], [1])
+
+    def test_an_ideal_given_as_an_array_is_judged_by_its_length(self):
+        fam = j_family(build_even_rep(5))
+        sp2 = [fam.mats[p] for p in fam.pairs()]
+        sp1 = list(quaternion_units(2))
+        want = isotropy_projection_op([sp2, sp1], [4, 8])
+        got = isotropy_projection_op([np.stack(sp2), np.stack(sp1)], [4, 8])
+        assert same_rhat(got, want)
+
+    @pytest.mark.parametrize(
+        "ideals",
+        [
+            lambda sp2: [sp2, []],
+            lambda sp2: [sp2, np.zeros((0, 8, 8), dtype=np.int64)],
+            lambda sp2: [np.zeros((0, 8, 8), dtype=np.int64), sp2],
+            lambda sp2: [JFamily(8, 1, {}), sp2],
+        ],
+        ids=["empty list second", "empty array second", "empty array first", "rank-1 family first"],
+    )
+    def test_an_empty_ideal_is_refused(self, ideals):
+        fam = j_family(build_even_rep(5))
+        with pytest.raises(CurvatureError, match="nonempty basis"):
+            isotropy_projection_op(ideals([fam.mats[p] for p in fam.pairs()]), [4, 8])
+
+    @pytest.mark.parametrize("name", [*MODEL_NAMES, "e6"])
+    def test_a_family_ideal_gives_the_factors_of_its_matrices(self, name):
+        s, commutant, scales = family_inputs(name)
+        rest = [commutant] if commutant else []
+        got = isotropy_projection_op([s.family, *rest], scales)
+        want = isotropy_projection_op([[s.family.mats[p] for p in s.pairs()], *rest], scales)
+        assert np.array_equal(got.basis, want.basis) and got.basis.dtype == want.basis.dtype
+        assert np.array_equal(got.num, want.num) and got.num.dtype == want.num.dtype
+        assert got.den == want.den and got.norms == want.norms
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_a_certified_family_brackets_only_its_generators(self, name, monkeypatch):
+        # span{J_ij} is closed by the certificate, and the commutant C is
+        # bracketed with J_12 .. J_1r alone, in one order; C's own closure
+        # is the one other gather
+        s, commutant, scales = family_inputs(name)
+        calls = record_brackets(monkeypatch)
+        isotropy_projection_op([s.family, *([commutant] if commutant else [])], scales)
+        k = len(commutant)
+        assert calls == ([(s.r - 1, k), (k, k)] if k else [])
+
+    def test_a_family_that_fails_the_certificate_is_checked_for_closure(self):
+        # J_12 and J_13 of the rank-5 family, with J_45 in the (2, 3) slot:
+        # skew and trace-orthogonal, but [J_12, J_13] = 2 J_23 is outside
+        f5 = j_family(build_even_rep(5))
+        fam = JFamily(8, 3, {(1, 2): f5.mats[(1, 2)], (1, 3): f5.mats[(1, 3)], (2, 3): f5.mats[(4, 5)]})
+        assert not curvature._generators_certified(fam)
+        with pytest.raises(CurvatureError, match="not closed under brackets"):
+            isotropy_projection_op([fam], [1])
+
+    def test_a_family_that_is_not_skew_is_refused(self):
+        mats = dict(j_family(build_even_rep(5)).mats)
+        mats[(2, 3)] = np.abs(mats[(2, 3)])
+        with pytest.raises(CurvatureError, match="must be skew"):
+            isotropy_projection_op([JFamily(8, 5, mats)], [1])
+
+    @pytest.mark.parametrize("family_first", [True, False], ids=["family first", "family second"])
+    def test_a_certified_family_must_commute_with_the_other_ideals(self, family_first):
+        # a 2-form trace-orthogonal to span{J_ij} that does not commute with
+        # some J_1j: only the generators' brackets are gathered, and they
+        # see it
+        s = build_model("hp2").structure
+        kernel = linalg.nullspace(linalg.skew_to_coords(s.family.stack.matrix()))
+        x = next(
+            linalg.coords_to_skew(v, 8)
+            for v in kernel
+            if any(linalg.commutator(linalg.coords_to_skew(v, 8), s.j(1, j)).any() for j in range(2, 6))
+        )
+        ideals = [s.family, [x]] if family_first else [[x], s.family]
+        with pytest.raises(CurvatureError, match="ideals do not commute"):
+            isotropy_projection_op(ideals, [4, 1])
 
     def test_s8_model_is_constant_curvature_4(self):
         op = build_model("s8").operator
@@ -514,6 +618,28 @@ class TestCertifiedIdentities:
         s = EvenCliffordStructure.from_matrices(m.n, m.r, mats)
         report = reports_agree(m.operator, s, 2)
         assert {f["identity"] for f in report["failures"]} == {"curvature_action"}
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_the_certified_pass_gathers_the_generators_only(name, monkeypatch):
+    # the action identity at the r - 1 pairs (1, j) decides every (i, j)
+    m = build_model(name)
+    calls = record_brackets(monkeypatch)
+    assert curvature._certified_pass(m.operator, m.structure, Fraction(2))
+    assert sum(rows for rows, _ in calls) == m.r - 1
+
+
+@pytest.mark.parametrize("kappa", [2, 1])
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_without_the_certificate_the_direct_suite_decides(name, kappa, monkeypatch):
+    m = build_model(name)
+    want = verify_parallel_identities(m.operator, m.structure, kappa).to_dict()
+    ran = []
+    direct = curvature._direct_parallel_identities
+    monkeypatch.setattr(curvature, "_generators_certified", lambda fam: False)
+    monkeypatch.setattr(curvature, "_direct_parallel_identities", lambda *args: ran.append(args) or direct(*args))
+    assert verify_parallel_identities(m.operator, m.structure, kappa).to_dict() == want
+    assert len(ran) == 1
 
 
 def e6_plane():
