@@ -142,18 +142,18 @@ def model_ideals(name):
 
 
 def family_inputs(name):
-    """The structure, commutant and scales that build_model projects with,
-    or those of the E6 plane for "e6"."""
+    """The structure, the ideals after the family's and the scales that
+    build_model projects with, or those of the E6 plane for "e6"."""
     if name == "e6":
         rep = irreducible_even_rep(10)
         s = EvenCliffordStructure.from_rep(rep)
-        return s, centralizer_dim(rep.stack)[1], [16, 48]
+        return s, [centralizer_dim(rep.stack)[1]], [16, 48]
     m = build_model(name)
     s = m.structure
     commutant = centralizer_dim(s.rep.stack)[1]
     if not commutant:
-        return s, commutant, [m.scale]
-    return s, commutant, [m.scale, (m.expected_scal / 2 - m.scale * len(s.pairs())) / len(commutant)]
+        return s, [], [m.scale]
+    return s, [commutant], [m.scale, (m.expected_scal / 2 - m.scale * len(s.pairs())) / len(commutant)]
 
 
 def record_brackets(monkeypatch):
@@ -349,8 +349,7 @@ class TestIsotropyProjection:
 
     @pytest.mark.parametrize("name", [*MODEL_NAMES, "e6"])
     def test_a_family_ideal_gives_the_factors_of_its_matrices(self, name):
-        s, commutant, scales = family_inputs(name)
-        rest = [commutant] if commutant else []
+        s, rest, scales = family_inputs(name)
         got = isotropy_projection_op([s.family, *rest], scales)
         want = isotropy_projection_op([[s.family.mats[p] for p in s.pairs()], *rest], scales)
         assert np.array_equal(got.basis, want.basis) and got.basis.dtype == want.basis.dtype
@@ -362,11 +361,11 @@ class TestIsotropyProjection:
         # span{J_ij} is closed by the certificate, and the commutant C is
         # bracketed with J_12 .. J_1r alone, in one order; C's own closure
         # is the one other gather
-        s, commutant, scales = family_inputs(name)
+        s, rest, scales = family_inputs(name)
         calls = record_brackets(monkeypatch)
-        isotropy_projection_op([s.family, *([commutant] if commutant else [])], scales)
-        k = len(commutant)
-        assert calls == ([(s.r - 1, k), (k, k)] if k else [])
+        isotropy_projection_op([s.family, *rest], scales)
+        k = sum(map(len, rest))
+        assert calls == ([(s.r - 1, k), (k, k)] if rest else [])
 
     def test_a_family_that_fails_the_certificate_is_checked_for_closure(self):
         # J_12 and J_13 of the rank-5 family, with J_45 in the (2, 3) slot:
@@ -645,11 +644,9 @@ def test_without_the_certificate_the_direct_suite_decides(name, kappa, monkeypat
 def e6_plane():
     """The E6 plane E6/Spin(10)U(1): the Cl0_10 module (n = 32) with its
     u(1) commutant, at the scales 16 = n/2 and 48."""
-    rep = irreducible_even_rep(10)
-    s = EvenCliffordStructure.from_rep(rep)
-    _, commutant = centralizer_dim(rep.stack)
+    s, (commutant,), scales = family_inputs("e6")
     assert len(commutant) == 1
-    return s, isotropy_projection_op([[s.family.mats[p] for p in s.pairs()], commutant], [16, 48])
+    return s, isotropy_projection_op([[s.family.mats[p] for p in s.pairs()], commutant], scales)
 
 
 def test_e6_plane(monkeypatch):
