@@ -14,9 +14,9 @@ Conventions, fixed once:
 * Ric(X,Y) = sum_a g(R_{X, X_a} X_a, Y).
 
 R^ is stored as integer factors B W B^T over one positive denominator, B
-orthogonal coordinate columns; the spectrum and the identity suite's
-certificate read the factors, and the (4,0) tensor, Ricci and the matrices
-R_{X_a, X_b} are gathers from the pair-basis matrix.  Every check is exact.
+orthogonal coordinate columns, and every passing check reads the factors;
+only the direct identity suite, which names the witnesses of a failure,
+forms the m x m pair-basis matrix.  Every check is exact.
 """
 
 from __future__ import annotations
@@ -58,14 +58,15 @@ class CurvatureOperator:
     ``num`` is the pair matrix.  R^ B = B W diag(g) / den, and R^ vanishes
     on the orthogonal complement of the span of B.
 
-    ``rhat_matrix`` is the one m x m view.  With idx[a,b] the row of the
-    pair {a, b} and sgn[a,b] = +1 for a < b, -1 for a > b, 0 for a = b
-    (``linalg.pair_index``), its numerator N and denominator D give
+    With N = B W B^T, idx[a,b] the row of the pair {a, b} and sgn[a,b] = +1
+    for a < b, -1 for a > b, 0 for a = b (``linalg.pair_index``),
 
-        D * R(X_a, X_b, X_c, X_d) = -sgn[a,b] sgn[c,d] N[idx[a,b], idx[c,d]],
+        den * R(X_a, X_b, X_c, X_d) = -sgn[a,b] sgn[c,d] N[idx[a,b], idx[c,d]],
 
     so both antisymmetries of R hold by the format; pair symmetry and the
-    first Bianchi identity are checked (``symmetry_violations``).
+    first Bianchi identity are checked (``symmetry_violations``).  These,
+    Ricci, the trace and R^ applied to a 2-form read B, W and den; N itself
+    is formed only on request (``rhat_matrix``).
     """
 
     def __init__(self, n: int, num, den: int = 1, check: bool = True, basis=None):
@@ -87,7 +88,6 @@ class CurvatureOperator:
         except ValueError as err:
             raise CurvatureError(f"matrix: {err}") from None
         self.num, self.den = linalg.normalize(num, den)
-        self._rhat = None
         if check:
             problems = self.symmetry_violations()
             if problems:
@@ -106,64 +106,65 @@ class CurvatureOperator:
         Manifolds, 1.G): it vanishes on repeated indices and changes at most
         its sign under a permutation, so it vanishes, and attains its largest
         absolute value, on the quadruples a < b < c < d.  There it reads
-        -(N[ab,cd] - N[ac,bd] + N[ad,bc]) / D on the m x m view, one gather.
+        -(N[ab,cd] - N[ac,bd] + N[ad,bc]) / den, and N[p,q] = sum_k B[p,k]
+        eta[q,k] with eta = B W: a sum over the nonzeros of B and eta in one
+        column k, p and q the disjoint pairs of the quadruple with p holding
+        its least index, signed -1 when p's second index lies inside q.
         """
         if (self.num != self.num.T).any():
             return ["pair symmetry fails"]
-        num, den = self.rhat_matrix()
-        r = linalg.exact(num, 3 * linalg.max_abs(num))
-        a, b, idx, _ = linalg.pair_table(self.n)
-        # the pairs p = (a, b) and q = (c, d) with b < c
-        p, q = np.nonzero(b[:, None] < a[None, :])
-        a, b, c, d = a[p], b[p], a[q], b[q]
-        bianchi = r[p, q] - r[idx[a, c], idx[b, d]] + r[idx[a, d], idx[b, c]]
+        eta = linalg.imatmul(self.basis, self.num)
+        # each nonzero (p, k) of B against each nonzero (q, k) of eta
+        kb, p = np.nonzero(self.basis.T)
+        ke, q = np.nonzero(eta.T)
+        first = np.searchsorted(ke, kb)
+        count = np.searchsorted(ke, kb, side="right") - first
+        k, p = np.repeat(kb, count), np.repeat(p, count)
+        q = q[np.repeat(first - np.cumsum(count) + count, count) + np.arange(len(k))]
+        lo, hi, _, _ = linalg.pair_table(self.n)
+        keep = (lo[p] < lo[q]) & (hi[p] != lo[q]) & (hi[p] != hi[q])
+        k, p, q = k[keep], p[keep], q[keep]
+        a, b, c, d = lo[p], hi[p], lo[q], hi[q]
+        quads = np.sort(np.stack([a, b, c, d], axis=1), axis=1) @ self.n ** np.arange(3, -1, -1)
+        keys, quad = np.unique(quads, return_inverse=True)
+        bound = linalg.max_abs(self.basis) * linalg.max_abs(eta) * len(k)
+        terms = linalg.exact(self.basis[p, k], bound) * linalg.exact(eta[q, k], bound)
+        terms[(c < b) & (b < d)] *= -1
+        bianchi = np.zeros(len(keys), dtype=terms.dtype)
+        np.add.at(bianchi, quad, terms)
         if bianchi.any():
-            return [f"first Bianchi identity fails, max residual {Fraction(int(np.abs(bianchi).max()), den)}"]
+            return [f"first Bianchi identity fails, max residual {Fraction(linalg.max_abs(bianchi), self.den)}"]
         return []
 
     def rhat_matrix(self) -> tuple[np.ndarray, int]:
-        """Numerator and denominator of the pair-basis matrix of R^, in lowest
-        terms: the m x m view, formed on first use and kept."""
-        if self._rhat is None:
-            view = linalg.imatmul(linalg.imatmul(self.basis, self.num), self.basis.T)
-            self._rhat = linalg.normalize(view, self.den)
-        return self._rhat
-
-    def entry(self, a: int, b: int, c: int, d: int) -> Fraction:
-        num, den = self.rhat_matrix()
-        idx, sgn = linalg.pair_index(self.n)
-        return Fraction(-int(sgn[a, b] * sgn[c, d]) * int(num[idx[a, b], idx[c, d]]), den)
-
-    def curvature_matrix(self, a: int, b: int) -> np.ndarray:
-        """Numerator of the skew matrix R_{X_a, X_b}, over rhat_matrix()'s den."""
-        num, _ = self.rhat_matrix()
-        idx, sgn = linalg.pair_index(self.n)
-        return linalg.coords_to_skew(-sgn[a, b] * num[idx[a, b]], self.n)
+        """Numerator and denominator of the m x m pair-basis matrix of R^, in
+        lowest terms, formed anew on each call."""
+        return linalg.normalize(linalg.imatmul(linalg.imatmul(self.basis, self.num), self.basis.T), self.den)
 
     def rhat_apply(self, skew: np.ndarray) -> tuple[np.ndarray, int]:
         """R^ applied to a skew integer matrix; returns (numerator, den)."""
-        num, den = self.rhat_matrix()
-        coords = linalg.skew_to_coords(skew)
-        return linalg.coords_to_skew(linalg.imatmul(num, coords[:, None])[:, 0], self.n), den
+        coords = linalg.skew_to_coords(skew)[:, None]
+        applied = linalg.imatmul(self.basis, linalg.imatmul(self.num, linalg.imatmul(self.basis.T, coords)))
+        return linalg.coords_to_skew(applied[:, 0], self.n), self.den
 
     def ricci_num(self) -> np.ndarray:
-        """D * Ric, D the den of ``rhat_matrix``: the sum over a of
-        D * R(X_x, X_a, X_a, X_y), one gather."""
-        num, _ = self.rhat_matrix()
-        idx, sgn = linalg.pair_index(self.n)
-        num = linalg.exact(num, self.n * linalg.max_abs(num))
-        return -(sgn[:, :, None] * sgn[None, :, :] * num[idx[:, :, None], idx[None, :, :]]).sum(axis=1)
+        """den * Ric: with S_k and T_k the skew matrices of the columns k of B
+        and of B W, den * Ric = -sum_k S_k T_k, one product."""
+        n, h = self.n, len(self.norms)
+        s = linalg.coords_to_skew(self.basis.T, n).transpose(1, 0, 2).reshape(n, h * n)
+        t = linalg.coords_to_skew(linalg.imatmul(self.basis, self.num).T, n).reshape(h * n, n)
+        return -linalg.imatmul(s, t)
 
     def ricci(self) -> np.ndarray:
         """Ricci tensor as a Fraction-valued symmetric matrix."""
-        return linalg.fraction_array(self.ricci_num(), self.rhat_matrix()[1])
+        return linalg.fraction_array(self.ricci_num(), self.den)
 
     def scalar(self) -> Fraction:
-        return Fraction(int(np.trace(self.ricci_num())), self.rhat_matrix()[1])
+        return Fraction(int(np.trace(self.ricci_num())), self.den)
 
     def rhat_trace(self) -> Fraction:
-        num, den = self.rhat_matrix()
-        return Fraction(int(np.trace(num)), den)
+        """trace(B W B^T) / den = sum_k W_kk g_k / den."""
+        return Fraction(sum(int(w) * g for w, g in zip(np.diagonal(self.num), self.norms)), self.den)
 
 
 def _scaled(a: np.ndarray, k) -> np.ndarray:
@@ -403,7 +404,7 @@ def _certified_pass(op: CurvatureOperator, s: EvenCliffordStructure, kappa: Frac
     indexed over ``JFamily.ordered``: the J_jj = J_ii = -1 terms contribute
     -(c_ji + c_ij) 1 = 0, as c_ji = -c_ij.  The pairs are taken in blocks,
     so that no temporary outgrows the (m, n, n) stack of the direct suite.
-    Einstein is checked on the m x m view.  The Ricci system needs no check
+    Einstein reads Ricci from the factors.  The Ricci system needs no check
     of its own: with every J_q^2 = -1 each of its rows is the Einstein
     identity.
     """
@@ -444,15 +445,14 @@ def _certified_pass(op: CurvatureOperator, s: EvenCliffordStructure, kappa: Frac
             return False
 
     # Einstein, as the direct suite computes it
-    ric, den = op.ricci_num(), op.rhat_matrix()[1]
-    return _scaled_equal(ric, 4 * kd, linalg.eye(n), kn * (n + 8 * r - 16) * den)
+    return _scaled_equal(op.ricci_num(), 4 * kd, linalg.eye(n), kn * (n + 8 * r - 16) * den)
 
 
 def _direct_parallel_identities(
     op: CurvatureOperator, s: EvenCliffordStructure, kappa: Fraction | int
 ) -> VerificationReport:
-    """``verify_parallel_identities`` checked pair by pair on the m x m view,
-    with a witness for every failure."""
+    """``verify_parallel_identities`` checked pair by pair on the m x m
+    pair-basis matrix, with a witness for every failure."""
     if op.n != s.n:
         raise CurvatureError("operator and structure dimensions differ")
     kappa = Fraction(kappa)
@@ -486,7 +486,7 @@ def _direct_parallel_identities(
             bad = int(np.abs(residual.reshape(len(pairs0), -1)).max(axis=1).argmax())
             failures.append(Failure("curvature_action", (i, j) + pairs0[bad], format_residual(residual, kd * den)))
 
-    ric = op.ricci_num()
+    ric, den = op.ricci_num(), op.den
     einstein = _scaled(ric, 4 * kd) - _scaled(linalg.eye(n), kn * (n + 8 * r - 16) * den)
     if einstein.any():
         failures.append(Failure("einstein", (), format_residual(einstein, 4 * kd * den)))

@@ -143,6 +143,13 @@ def rational_combination(terms, n: int) -> tuple[np.ndarray, int]:
     return normalize(acc, den)
 
 
+def stack_combination(stack: OperatorStack, coeffs) -> np.ndarray:
+    """Exact sum of c * stack[t] over the int or rational coeffs c, as an
+    integer matrix when it is integral, else as ``fraction_array``."""
+    num, den = rational_combination(((c, stack.matrix(t)) for t, c in enumerate(coeffs)), stack.n)
+    return num if den == 1 else fraction_array(num, den)
+
+
 def imatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact integer matrix product (stacks broadcast as in np.matmul).
 

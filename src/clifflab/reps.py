@@ -339,14 +339,10 @@ def _blade_word(rep: MatrixRep, indices) -> tuple[int, ...]:
 
 def _evaluate_word(rep: MatrixRep, x: CliffordElement) -> np.ndarray:
     """Sum over the terms of x, an element of Cl_k whose generator i maps to
-    rep.generators[i - 1], on numerators over the lcm of the coefficient
-    denominators; an integral result comes back as an integer matrix."""
+    rep.generators[i - 1], as ``linalg.stack_combination`` returns it."""
     terms = list(x.items())
     images = rep.stack.word_products([[i - 1 for i in indices] for indices, _ in terms])
-    num, den = linalg.rational_combination(
-        ((coeff, images.matrix(t)) for t, (_, coeff) in enumerate(terms)), rep.dim
-    )
-    return num if den == 1 else linalg.fraction_array(num, den)
+    return linalg.stack_combination(images, [coeff for _, coeff in terms])
 
 
 def evaluate(rep: MatrixRep, x: CliffordElement) -> np.ndarray:

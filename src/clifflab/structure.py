@@ -541,11 +541,7 @@ class EvenAlgebraMorphism:
         if not x.is_even():
             raise StructureError("morphism is defined on the even algebra only")
         terms = list(x.items())
-        images = self.blades([indices for indices, _ in terms])
-        num, den = linalg.rational_combination(
-            ((coeff, images.matrix(t)) for t, (_, coeff) in enumerate(terms)), self.n
-        )
-        return num if den == 1 else linalg.fraction_array(num, den)
+        return linalg.stack_combination(self.blades([indices for indices, _ in terms]), [coeff for _, coeff in terms])
 
 
 def _map_family(phi: Mapping[tuple[int, int], np.ndarray], k: int, n: int | None) -> JFamily:

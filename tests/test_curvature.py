@@ -62,13 +62,28 @@ def tensor_violations(r, den):
     return out
 
 
+def entry(op, a, b, c, d):
+    """Oracle: R(X_a, X_b, X_c, X_d) read off the m x m view of R^."""
+    num, den = op.rhat_matrix()
+    idx, sgn = linalg.pair_index(op.n)
+    return Fraction(-int(sgn[a, b] * sgn[c, d]) * int(num[idx[a, b], idx[c, d]]), den)
+
+
+def curvature_matrix(op, a, b):
+    """Oracle: the numerator of the skew matrix R_{X_a, X_b}, over the den
+    of the m x m view."""
+    num, _ = op.rhat_matrix()
+    idx, sgn = linalg.pair_index(op.n)
+    return linalg.coords_to_skew(-sgn[a, b] * num[idx[a, b]], op.n)
+
+
 def independent_ricci(op):
     """Oracle: direct contraction of the 4-tensor without the fast path."""
     n = op.n
     out = [[Fraction(0)] * n for _ in range(n)]
     for x in range(n):
         for y in range(n):
-            out[x][y] = sum(op.entry(x, a, a, y) for a in range(n))
+            out[x][y] = sum(entry(op, x, a, a, y) for a in range(n))
     return out
 
 
@@ -429,13 +444,13 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("name", ["s8", "cp4", "hp2", "op2"])
     def test_a_built_model_is_decided_on_h(self, name, monkeypatch):
+        # the build, the identity suite and the spectrum all read the factors
         m = build_model(name)
         want = rank_spectrum(m.operator, m.spectrum_candidates)
-
-        def refuse(self):
-            raise AssertionError("the m x m view was formed")
-
-        monkeypatch.setattr(CurvatureOperator, "rhat_matrix", refuse)
+        refuse_view(monkeypatch)
+        m = build_model(name)
+        report = verify_cc_normalization(m.operator, m.structure)
+        assert report.passed and report.data["scal"] == str(m.expected_scal)
         assert lambda2_spectrum(m.operator, m.spectrum_candidates) == want
 
     @pytest.mark.parametrize(
@@ -518,6 +533,13 @@ def refuse_direct_suite(monkeypatch):
         raise AssertionError("the direct suite ran")
 
     monkeypatch.setattr(curvature, "_direct_parallel_identities", refuse)
+
+
+def refuse_view(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the m x m view was formed")
+
+    monkeypatch.setattr(CurvatureOperator, "rhat_matrix", refuse)
 
 
 @pytest.mark.parametrize("kappa", [2**58, 2**61], ids=["2^58", "2^61"])
@@ -653,9 +675,11 @@ def test_e6_plane(monkeypatch):
     s, op = e6_plane()
     assert op.basis.shape == (496, 46)
     assert reports_agree(op, s, 2)["passed"]
+    refuse_direct_suite(monkeypatch)
+    refuse_view(monkeypatch)
+    s, op = e6_plane()
     assert op.scalar() == 1536  # Table 3
     assert lambda2_spectrum(op, [0, 16, 48]) == [(Fraction(0), 450), (Fraction(16), 45), (Fraction(48), 1)]
-    refuse_direct_suite(monkeypatch)
     report = verify_cc_normalization(op, s)
     assert report.passed and report.data["scal"] == "1536"
 
@@ -663,6 +687,8 @@ def test_e6_plane(monkeypatch):
 def test_e7_plane(monkeypatch):
     # E7/Spin(12)Sp(1): the Cl0_12 module (n = 64) with its sp(1)
     # commutant, at the scales 32 = n/2 and 64; m = 2016, h = 69
+    refuse_direct_suite(monkeypatch)
+    refuse_view(monkeypatch)
     rep = irreducible_even_rep(12)
     s = EvenCliffordStructure.from_rep(rep)
     _, commutant = centralizer_dim(rep.stack)
@@ -670,9 +696,22 @@ def test_e7_plane(monkeypatch):
     op = isotropy_projection_op([[s.family.mats[p] for p in s.pairs()], commutant], [32, 64])
     assert op.basis.shape == (2016, 69)
     assert lambda2_spectrum(op, [0, 32, 64]) == [(Fraction(0), 1947), (Fraction(32), 66), (Fraction(64), 3)]
-    refuse_direct_suite(monkeypatch)
     report = verify_cc_normalization(op, s)
     assert report.passed and report.data["scal"] == "4608"  # Table 3
+
+
+def test_e8_plane(monkeypatch):
+    # E8/Spin(16): the Cl0_16 module (n = 128), no commutant, the family
+    # alone at the scale 64 = n/2; m = 8128, h = 120, so the m x m view
+    # would hold 66 million entries
+    refuse_direct_suite(monkeypatch)
+    refuse_view(monkeypatch)
+    s = EvenCliffordStructure.from_rep(irreducible_even_rep(16))
+    op = isotropy_projection_op([s.family], [64])
+    assert op.basis.shape == (8128, 120)
+    report = verify_cc_normalization(op, s)
+    assert report.passed and report.data["scal"] == "15360"  # Table 3, (O x O)P^2
+    assert lambda2_spectrum(op, [0, 64]) == [(Fraction(0), 8008), (Fraction(64), 120)]
 
 
 def rhat_by_loop(t):
@@ -689,18 +728,19 @@ def rhat_by_loop(t):
 @pytest.mark.parametrize("name", ["s8", "cp4", "hp2", "op2"])
 def test_rhat_gather_matches_the_loop(name):
     # every view of the pair matrix against the tensor the oracle scatters:
-    # R^ read back entry by entry, Ricci, the curvature matrices, entries
+    # R^ read back entry by entry, Ricci (over the den of the factors, which
+    # the den of the view divides), the curvature matrices, entries
     op = build_model(name).operator
     rhat, den = op.rhat_matrix()
     n, t = op.n, scatter(rhat, op.n)
     want = rhat_by_loop(t)
     assert rhat.dtype == want.dtype and np.array_equal(rhat, want)
-    assert np.array_equal(op.ricci_num(), np.einsum("xaay->xy", t))
+    assert np.array_equal(op.ricci_num(), np.einsum("xaay->xy", t) * (op.den // den))
     for a in range(n):
         for b in range(n):
-            assert np.array_equal(op.curvature_matrix(a, b), t[a, b].T)
+            assert np.array_equal(curvature_matrix(op, a, b), t[a, b].T)
     for a, b, c, d in [(0, 1, 0, 1), (1, 0, 2, 3), (3, 2, 1, 0), (0, 0, 1, 2), (n - 1, 2, 5, n - 2)]:
-        assert op.entry(a, b, c, d) == Fraction(int(t[a, b, c, d]), den)
+        assert entry(op, a, b, c, d) == Fraction(int(t[a, b, c, d]), den)
 
 
 class TestPairMatrixFormat:
@@ -802,6 +842,26 @@ def test_pair_matrix_checks_agree_with_the_tensor_scans(data):
     if (skew != skew.T).any():
         broken = CurvatureOperator(n, num + skew, check=False)
         assert broken.symmetry_violations() == ["pair symmetry fails"]
+
+
+@pytest.mark.parametrize("case", ["past int64", "E6 plane"])
+def test_a_bianchi_residual_is_exact(case):
+    # a 4-form of value 2^62 on n = 4 has the Bianchi sum 3 * 2^62, past
+    # int64; the E6 plane with the last entry of W raised by one
+    if case == "past int64":
+        h = np.diag([1, 2, 3, 4])
+        op = CurvatureOperator(4, kulkarni_nomizu(h, h) + four_form(4, [2**62]), 3, check=False)
+        want = Fraction(3 * 2**62, 3)
+    else:
+        _, op = e6_plane()
+        num = op.num.copy()
+        num[-1, -1] += 1
+        op = CurvatureOperator(op.n, num, op.den, check=False, basis=op.basis)
+        want = 1
+    rhat, den = op.rhat_matrix()
+    got = op.symmetry_violations()
+    assert got == [f"first Bianchi identity fails, max residual {want}"]
+    assert got == tensor_violations(scatter(rhat.astype(object), op.n), den)
 
 
 class TestCcNormalization:
